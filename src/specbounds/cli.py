@@ -29,6 +29,9 @@ EXIT_VERIFY_FAILED = 2
 
 RATIO_ENVELOPE = 10.0
 
+# Quantities `mc` estimates from a profile alone (distsq also needs v, w).
+MC_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
+
 DEFAULT_EQUIV_FAMILIES = ["wigner:d=64", "diagonal_unit:d=64"]
 DEFAULT_SLICE_FAMILIES = ["wigner:d=64", "diagonal_decay:d=256"]
 
@@ -58,16 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--replicates", type=int, default=200,
                     help="replicates for the two Monte Carlo bound inputs")
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(pb)
     pb.add_argument("--out", type=Path)
 
     pm = sub.add_parser("mc", help="Monte Carlo estimate of one quantity")
     _add_profile_flags(pm)
     pm.add_argument("--quantity", required=True,
-                    choices=list(montecarlo.QUANTITY_IDS[:5]) + ["all"])
+                    choices=[*MC_QUANTITIES, "all"])
     pm.add_argument("--replicates", type=int, default=200)
     pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(pm)
     pm.add_argument("--out", type=Path)
 
     pv = sub.add_parser("verify", help="run one verification suite")
@@ -88,12 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="bounds + MC quantities over families x dims")
     ps.add_argument("--families", required=True,
-                    help="comma-separated family names, e.g. wigner,diagonal_unit")
+                    help="comma-separated family specs, e.g. wigner,sparse_random:density=0.3,seed=1; "
+                         "a key=value token continues the family before it")
     ps.add_argument("--dims", required=True,
                     help="comma-separated dimensions, e.g. 16,64")
     ps.add_argument("--replicates", type=int, default=200)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(ps)
     ps.add_argument("--out", type=Path)
     return parser
 
@@ -115,14 +119,16 @@ def main(argv=None) -> int:
             "scan": _cmd_scan,
         }[args.command]
         report, status = handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if isinstance(report, dict):
+            report["wall_time_s"] = time.perf_counter() - started
+            # allow_nan=False: a non-finite number is an error, never
+            # invalid JSON on stdout
+            text = json.dumps(report, indent=2, allow_nan=False)
+        else:
+            text = report
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(report, dict):
-        report["wall_time_s"] = time.perf_counter() - started
-        text = json.dumps(report, indent=2)
-    else:
-        text = report
     if getattr(args, "out", None):
         args.out.write_text(text if text.endswith("\n") else text + "\n")
     print(text)
@@ -135,6 +141,19 @@ def _add_profile_flags(parser) -> None:
     group.add_argument("--family", help="family spec, e.g. wigner:d=16")
     parser.add_argument("--format", choices=["csv", "json"], default=None,
                         help="input format (default: by file suffix)")
+
+
+def _add_workers_flag(parser) -> None:
+    parser.add_argument("--workers", type=_positive_int, default=1,
+                        help="accepted for compatibility; replicates run serially "
+                             "and results do not depend on it")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def _load(args) -> tuple[StdDevProfile, dict]:
@@ -166,9 +185,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_mc(args) -> tuple[dict, int]:
     profile, source = _load(args)
-    quantities = (
-        list(montecarlo.QUANTITY_IDS[:5]) if args.quantity == "all" else [args.quantity]
-    )
+    quantities = MC_QUANTITIES if args.quantity == "all" else [args.quantity]
     estimates = {}
     for quantity in quantities:
         if quantity == "ymax":
@@ -200,7 +217,12 @@ def _cmd_ball(args):
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
-    families = [name.strip() for name in args.families.split(",") if name.strip()]
+    families = []
+    for token in (tok.strip() for tok in args.families.split(",")):
+        if "=" in token and ":" not in token and families:
+            families[-1] += "," + token  # sparse_random:density=0.35,seed=9
+        elif token:
+            families.append(token)
     dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     if not families or not dims:
         raise ValueError("scan needs at least one family and one dimension")
@@ -248,6 +270,8 @@ def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    if args.check in ("basic", "comparison", "split") and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     check = {
         "basic": _check_basic,
         "comparison": _check_comparison,

@@ -159,10 +159,12 @@ def make_family(name: str, params: dict) -> StdDevProfile:
         d = _take_int(p, "d")
         if d % 2 != 0:
             raise ValueError(f"kronecker_flip needs even d, got {d}")
-        profile = gen_kronecker_flip(random_psd_nonneg(d // 2, int(p.pop("seed", 0))))
+        p.setdefault("seed", 0)
+        profile = gen_kronecker_flip(random_psd_nonneg(d // 2, _take_int(p, "seed")))
     elif name == "sparse_random":
+        p.setdefault("seed", 0)
         profile = gen_sparse_random(
-            _take_int(p, "d"), float(p.pop("density", 0.1)), int(p.pop("seed", 0))
+            _take_int(p, "d"), float(p.pop("density", 0.1)), _take_int(p, "seed")
         )
     else:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
@@ -190,7 +192,7 @@ def parse_family_spec(spec: str) -> StdDevProfile:
 
 def _take_int(params: dict, key: str) -> int:
     value = params.pop(key)
-    if float(value) != int(value):
+    if not float(value).is_integer():
         raise ValueError(f"parameter {key} must be an integer, got {value}")
     return int(value)
 

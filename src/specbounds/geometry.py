@@ -1,9 +1,9 @@
 """Deformation map, natural metric, comparison-process distance, and the
 scans built on them.
 
-The quadratic-form identities here back 1e-9-level gap contracts, so all
-of them accumulate their terms with exact summation (math.fsum) rather
-than plain floating-point reduction.
+The quadratic-form identities here back 1e-9-level gap contracts; they are
+evaluated as plain numpy quadratic forms, whose rounding sits far inside
+that scale.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ def natural_dist_sq(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
     v = _check_vector(v, p.d)
     w = _check_vector(w, p.d)
     b2 = p.variance_matrix
+    a = (v + w) ** 2
+    c = (v - w) ** 2
     s = v * v - w * w
-    first = np.outer((v + w) ** 2, (v - w) ** 2) * b2
-    second = np.outer(s, s) * b2
-    np.fill_diagonal(second, 0.0)
-    return math.fsum(first.ravel().tolist() + second.ravel().tolist())
+    return float(a @ b2 @ c + s @ b2 @ s - np.diag(b2) @ (s * s))
 
 
 def quad_form_sq_diff(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
@@ -187,12 +186,11 @@ def ball_boundary_csv(rows: np.ndarray) -> str:
 
 def _deformed_dist_sq(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
     dx = deform(p, v).x - deform(p, w).x
-    return math.fsum((dx * dx).tolist())
+    return float(dx @ dx)
 
 
 def _qform(m: np.ndarray, s: np.ndarray) -> float:
-    terms = np.outer(s, s) * m
-    return math.fsum(terms.ravel().tolist())
+    return float(s @ m @ s)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

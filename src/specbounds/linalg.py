@@ -1,8 +1,9 @@
 """Symmetric eigendecomposition, spectral norms, and positive/negative parts.
 
-The full eigendecomposition (LAPACK via numpy) is the ground-truth path.
-spectral_norm adds an iterative fast path for larger matrices that verifies
-its own residual and falls back to the full eigensolve when unconverged.
+The dense symmetric eigensolve (LAPACK via numpy) is the ground-truth path
+at every dimension.  Power iteration does not pay for the norm here: the
+spectrum of a centred Gaussian X is nearly symmetric, so the top two
+eigenvalues of X @ X almost tie and the iteration rarely certifies.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ __all__ = [
     "psd_split",
     "spectral_norm",
     "operator_norm",
-    "EIG_DENSE_CUTOFF",
 ]
-
-# Full eigensolve below this dimension; iterative fast path above.
-EIG_DENSE_CUTOFF = 64
 
 # Negative eigenvalues above -CLIP_REL * (1 + ||B||_F) are treated as zero
 # when building the low-rank factor, preventing spurious rank on near-PSD
@@ -59,7 +56,6 @@ def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def psd_split(b: np.ndarray) -> SpectralSplit:
     """Split a symmetric matrix into positive and negative spectral parts."""
-    b = _as_symmetric(b)
     eigenvalues, eigenvectors = sym_eig(b)
     pos = np.maximum(eigenvalues, 0.0)
     neg = np.maximum(-eigenvalues, 0.0)
@@ -77,29 +73,10 @@ def psd_split(b: np.ndarray) -> SpectralSplit:
     )
 
 
-def spectral_norm(a: np.ndarray, max_iter: int = 200) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Dimensions up to EIG_DENSE_CUTOFF use the full eigensolve.  Above that,
-    power iteration on a @ a (whose dominant eigenvalue is the squared norm)
-    runs with a deterministic start vector; the result is accepted only if
-    the Rayleigh residual certifies it, otherwise the full eigensolve is the
-    fallback.
-    """
-    a = _as_symmetric(a)
-    d = a.shape[0]
-    if d <= EIG_DENSE_CUTOFF:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-    estimate = _power_norm_squared(a, max_iter)
-    if estimate is not None:
-        norm = float(np.sqrt(estimate))
-        # The norm dominates every column norm; a converged-but-wrong
-        # interior eigenpair fails this and triggers the fallback.
-        lower = float(np.max(np.linalg.norm(a, axis=0)))
-        if norm >= lower * (1.0 - 1e-9):
-            return norm
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+def spectral_norm(a: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, from the dense
+    eigensolve."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(_as_symmetric(a)))))
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -140,38 +117,6 @@ def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]
     if factor > 1e-8 * (1.0 + fro):
         problems.append(f"factor residual {factor:.3e}")
     return problems
-
-
-def _power_norm_squared(a: np.ndarray, max_iter: int) -> float | None:
-    # Power iteration on a @ a; Rayleigh quotients increase monotonically for
-    # a PSD operator, so stagnation plus a small residual certifies the top
-    # eigenvalue.  Returns None when the certificate is not reached.
-    d = a.shape[0]
-    # Fixed-seed start: deterministic across runs, unstructured enough to
-    # overlap the dominant eigenspace of any non-adversarial input.
-    v = np.random.default_rng(0x5BD5).standard_normal(d)
-    v /= np.linalg.norm(v)
-    previous = -np.inf
-    stagnant = 0
-    for _ in range(max_iter):
-        w = a @ v
-        rayleigh = float(w @ w)  # v.T a^2 v with unit v
-        u = a @ w
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        if previous > 0 and abs(rayleigh - previous) <= 1e-13 * rayleigh:
-            stagnant += 1
-            if stagnant >= 2:
-                residual = np.linalg.norm(u - rayleigh * v)
-                if residual <= 1e-10 * max(rayleigh, 1.0):
-                    return rayleigh
-                return None
-        else:
-            stagnant = 0
-        previous = rayleigh
-        v = u / norm_u
-    return None
 
 
 def _as_symmetric(a: np.ndarray) -> np.ndarray:

@@ -4,20 +4,20 @@ quantities with standard errors.
 Determinism contract: replicate r of a run with seed s draws from the
 stream (s, r), one independent generator per replicate, and the reduction
 is np.mean / np.std over the replicate-indexed value array (numpy pairwise
-summation).  The result is therefore bit-identical for any worker count.
+summation).  Replicates run serially in index order; every estimator
+accepts a ``workers`` keyword, which does not change results.
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import equiv_expression
-from .geometry import simplex_sup
+from .geometry import _check_vector, simplex_sup
 from .linalg import SpectralSplit, spectral_norm
 from .profile import StdDevProfile, sigma
 
@@ -88,7 +88,7 @@ def est_norm(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> 
     def one(r: int) -> float:
         return spectral_norm(sample_X(p, RandomStream(seed, r)))
 
-    return _estimate(one, replicates, seed, "norm", workers)
+    return _estimate(one, replicates, seed, "norm")
 
 
 def est_rowmax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -98,7 +98,7 @@ def est_rowmax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -
         x = sample_X(p, RandomStream(seed, r))
         return float(np.sqrt(np.max(np.sum(x * x, axis=1))))
 
-    return _estimate(one, replicates, seed, "rowmax", workers)
+    return _estimate(one, replicates, seed, "rowmax")
 
 
 def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -107,7 +107,7 @@ def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1)
     def one(r: int) -> float:
         return float(np.max(np.abs(sample_X(p, RandomStream(seed, r)))))
 
-    return _estimate(one, replicates, seed, "entrymax", workers)
+    return _estimate(one, replicates, seed, "entrymax")
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -117,7 +117,7 @@ def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> 
         g = RandomStream(seed, r).generator().standard_normal(p.d)
         return simplex_sup(p, g)
 
-    return _estimate(one, replicates, seed, "gdot", workers)
+    return _estimate(one, replicates, seed, "gdot")
 
 
 def est_ymax(split: SpectralSplit, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -132,7 +132,7 @@ def est_ymax(split: SpectralSplit, replicates: int, seed: int, workers: int = 1)
         g = RandomStream(seed, r).generator().standard_normal(factor.shape[1])
         return float(np.max(factor @ g)) if factor.shape[1] else 0.0
 
-    return _estimate(one, replicates, seed, "ymax", workers)
+    return _estimate(one, replicates, seed, "ymax")
 
 
 def est_distance_sq(
@@ -152,7 +152,7 @@ def est_distance_sq(
         x = sample_X(p, RandomStream(seed, r))
         return float(v @ x @ v - w @ x @ w) ** 2
 
-    return _estimate(one, replicates, seed, "distsq", workers)
+    return _estimate(one, replicates, seed, "distsq")
 
 
 def equivalence_report(
@@ -191,17 +191,10 @@ def equivalence_report(
     }
 
 
-def _estimate(one, replicates: int, seed: int, quantity: str, workers: int) -> McEstimate:
+def _estimate(one, replicates: int, seed: int, quantity: str) -> McEstimate:
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    values = np.empty(replicates, dtype=np.float64)
-    if workers <= 1:
-        for r in range(replicates):
-            values[r] = one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, value in zip(range(replicates), pool.map(one, range(replicates))):
-                values[r] = value
+    values = np.array([one(r) for r in range(replicates)], dtype=np.float64)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(replicates))
     if not (np.isfinite(mean) and np.isfinite(stderr)):
@@ -215,10 +208,3 @@ def _ratio(a: float, b: float) -> float:
     if a == 0.0 and b == 0.0:
         return 1.0
     return a / b
-
-
-def _check_vector(v: np.ndarray, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (d,):
-        raise ValueError(f"expected a vector of length {d}, got shape {v.shape}")
-    return v

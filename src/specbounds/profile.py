@@ -103,7 +103,12 @@ def load_profile(source: str, format: str = "csv") -> StdDevProfile:
         b = np.array(rows, dtype=np.float64)
     elif format == "json":
         payload = json.loads(source)
-        b = np.array(payload["b"], dtype=np.float64)
+        if not isinstance(payload, dict) or "b" not in payload:
+            raise ValueError("JSON payload must be an object with a 'b' field")
+        try:
+            b = np.array(payload["b"], dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(f"JSON field 'b' is not a numeric matrix: {exc}") from exc
         if b.ndim != 2:
             raise ValueError("JSON field 'b' is not a matrix")
         if "d" in payload and payload["d"] != b.shape[0]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import bvhrect_bound
 from .linalg import operator_norm
-from .montecarlo import RandomStream, sample_X
+from .montecarlo import RandomStream, _ratio, sample_X
 from .profile import StdDevProfile, rearrange
 
 __all__ = [
@@ -166,9 +166,3 @@ def _trim_vanishing(profile: np.ndarray) -> np.ndarray:
     rows = np.any(profile != 0.0, axis=1)
     cols = np.any(profile != 0.0, axis=0)
     return profile[np.ix_(rows, cols)]
-
-
-def _ratio(a: float, b: float) -> float:
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    return a / b

@@ -18,6 +18,17 @@ def _run_json(capsys, argv):
     return status, json.loads(out)
 
 
+def _assert_input_error(capsys, argv):
+    # exit 1, nothing on stdout, and exactly one "error:" line on stderr
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    err_lines = captured.err.strip().splitlines()
+    assert err_lines[-1].startswith("error:")
+    assert sum(line.startswith("error:") for line in err_lines) == 1
+
+
 class TestBoundsCommand:
     def test_wigner_16(self, capsys):
         status, report = _run_json(
@@ -50,6 +61,24 @@ class TestBoundsCommand:
 
     def test_unknown_family_is_input_error(self, capsys):
         assert main(["bounds", "--family", "nope:d=4"]) == 1
+
+    @pytest.mark.parametrize("payload", ['{"d": 2}', "[[1, 0], [0, 1]]"])
+    def test_malformed_json_input_is_input_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "profile.json"
+        path.write_text(payload)
+        _assert_input_error(capsys, ["bounds", "--input", str(path)])
+
+    def test_non_integer_dimension_is_input_error(self, capsys):
+        _assert_input_error(capsys, ["bounds", "--family", "wigner:d=inf"])
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--family", "wigner:d=4"],
+        ["mc", "--family", "wigner:d=4", "--quantity", "norm"],
+        ["scan", "--families", "wigner", "--dims", "4"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, command, workers):
+        _assert_input_error(capsys, command + ["--workers", workers])
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         assert main(["bounds", "--input", str(tmp_path / "absent.csv")]) == 1
@@ -143,6 +172,16 @@ class TestVerifyCommand:
         assert report["failures"]
         assert {"trial", "d", "gamma", "gap"} <= set(report["failures"][0])
 
+    @pytest.mark.parametrize("check", ["basic", "comparison", "split"])
+    def test_zero_trials_is_input_error(self, capsys, check):
+        _assert_input_error(capsys, ["verify", "--check", check, "--trials", "0"])
+
+    def test_non_finite_report_value_is_input_error(self, capsys):
+        # a NaN tolerance is echoed in the report; strict JSON refuses it
+        _assert_input_error(
+            capsys, ["verify", "--check", "basic", "--trials", "5", "--tol", "nan"]
+        )
+
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--check", "everything"]) == 1
 
@@ -205,6 +244,17 @@ class TestScanCommand:
         _, first = _run_json(capsys, argv)
         _, second = _run_json(capsys, argv)
         assert json.dumps(first["rows"]) == json.dumps(second["rows"])
+
+    def test_key_value_token_continues_previous_family(self, capsys):
+        status, report = _run_json(
+            capsys,
+            ["scan", "--families", "sparse_random:density=0.35,seed=9,wigner",
+             "--dims", "8", "--replicates", "10"],
+        )
+        assert status == 0
+        assert [row["family"] for row in report["rows"]] == [
+            "sparse_random:density=0.35,seed=9,d=8", "wigner:d=8"
+        ]
 
     def test_empty_families_is_usage_error(self, capsys):
         assert main(["scan", "--families", "", "--dims", "4"]) == 1

@@ -165,6 +165,14 @@ class TestFamilySpecs:
         with pytest.raises(ValueError, match="bad family parameter"):
             parse_family_spec("wigner:d16")
 
+    @pytest.mark.parametrize(
+        "spec", ["wigner:d=inf", "band:d=8,w=nan", "sparse_random:d=4,seed=inf",
+                 "kronecker_flip:d=4,seed=1.5"]
+    )
+    def test_non_integer_parameter(self, spec):
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_family_spec(spec)
+
     def test_kronecker_odd_d(self):
         with pytest.raises(ValueError, match="even"):
             parse_family_spec("kronecker_flip:d=7")

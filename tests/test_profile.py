@@ -47,6 +47,13 @@ class TestLoadProfile:
         with pytest.raises(ValueError, match="d=3"):
             load_profile('{"d": 3, "b": [[1, 0], [0, 1]]}', format="json")
 
+    @pytest.mark.parametrize(
+        "bad", ['{"d": 2}', "[[1, 0], [0, 1]]", '{"b": {"x": 1}}']
+    )
+    def test_malformed_json_rejected(self, bad):
+        with pytest.raises(ValueError, match="'b'"):
+            load_profile(bad, format="json")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             load_profile("1", format="tsv")
