@@ -167,7 +167,6 @@ def compute_bound_report(
     gamma: float = 1.0,
     replicates: int = 200,
     seed: int = 0,
-    workers: int = 1,
 ) -> BoundReport:
     """Evaluate every bound id for one profile.
 
@@ -178,9 +177,9 @@ def compute_bound_report(
     from . import montecarlo, slicing
     from .linalg import psd_split
 
-    gdot = montecarlo.est_gdot(p, replicates, seed, workers=workers)
+    gdot = montecarlo.est_gdot(p, replicates, seed)
     split = psd_split(p.variance_matrix)
-    ymax = montecarlo.est_ymax(split, replicates, seed, workers=workers)
+    ymax = montecarlo.est_ymax(split, replicates, seed)
     bmax = max_entry(p)
 
     gamma_opt, cor_opt = optimize_gamma(gdot, ymax, bmax)

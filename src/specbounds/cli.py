@@ -29,9 +29,6 @@ EXIT_VERIFY_FAILED = 2
 
 RATIO_ENVELOPE = 10.0
 
-# Quantities `mc` estimates from a profile alone (distsq also needs v, w).
-MC_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
-
 DEFAULT_EQUIV_FAMILIES = ["wigner:d=64", "diagonal_unit:d=64"]
 DEFAULT_SLICE_FAMILIES = ["wigner:d=64", "diagonal_decay:d=256"]
 
@@ -67,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mc", help="Monte Carlo estimate of one quantity")
     _add_profile_flags(pm)
     pm.add_argument("--quantity", required=True,
-                    choices=[*MC_QUANTITIES, "all"])
+                    choices=[*montecarlo.PROFILE_QUANTITIES, "all"])
     pm.add_argument("--replicates", type=int, default=200)
     pm.add_argument("--seed", type=int, default=0)
     _add_workers_flag(pm)
@@ -78,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["basic", "comparison", "slice", "split", "equiv"])
     pv.add_argument("--trials", type=int, default=10000)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--tol", type=float, default=1e-9)
+    pv.add_argument("--tol", type=_finite_float, default=1e-9)
     pv.add_argument("--family", action="append", default=None,
                     help="family spec(s) for the slice/equiv checks")
     pv.add_argument("--replicates", type=int, default=50)
@@ -156,6 +153,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _load(args) -> tuple[StdDevProfile, dict]:
     if args.family is not None:
         return parse_family_spec(args.family), {"family": args.family}
@@ -172,7 +176,6 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         gamma=args.gamma,
         replicates=args.replicates,
         seed=args.seed,
-        workers=args.workers,
     )
     return {
         "schema": SCHEMA_VERSION,
@@ -185,12 +188,12 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_mc(args) -> tuple[dict, int]:
     profile, source = _load(args)
-    quantities = MC_QUANTITIES if args.quantity == "all" else [args.quantity]
+    quantities = montecarlo.PROFILE_QUANTITIES if args.quantity == "all" else [args.quantity]
     estimates = {}
     for quantity in quantities:
         if quantity == "ymax":
             split = psd_split(profile.variance_matrix)
-            est = montecarlo.est_ymax(split, args.replicates, args.seed, workers=args.workers)
+            est = montecarlo.est_ymax(split, args.replicates, args.seed)
         else:
             fn = {
                 "norm": montecarlo.est_norm,
@@ -198,7 +201,7 @@ def _cmd_mc(args) -> tuple[dict, int]:
                 "entrymax": montecarlo.est_entrymax,
                 "gdot": montecarlo.est_gdot,
             }[quantity]
-            est = fn(profile, args.replicates, args.seed, workers=args.workers)
+            est = fn(profile, args.replicates, args.seed)
         estimates[quantity] = est.to_dict()
     return {
         "schema": SCHEMA_VERSION,
@@ -244,12 +247,10 @@ def _cmd_scan(args) -> tuple[dict, int]:
 
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
-    report = bounds.compute_bound_report(
-        profile, replicates=args.replicates, seed=args.seed, workers=args.workers
-    )
-    norm = montecarlo.est_norm(profile, args.replicates, args.seed, workers=args.workers)
-    rowmax = montecarlo.est_rowmax(profile, args.replicates, args.seed, workers=args.workers)
-    entrymax = montecarlo.est_entrymax(profile, args.replicates, args.seed, workers=args.workers)
+    report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
+    norm = montecarlo.est_norm(profile, args.replicates, args.seed)
+    rowmax = montecarlo.est_rowmax(profile, args.replicates, args.seed)
+    entrymax = montecarlo.est_entrymax(profile, args.replicates, args.seed)
     equiv_value = report.values["equiv_expression"]
     return {
         "family": spec,

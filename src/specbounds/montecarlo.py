@@ -4,8 +4,9 @@ quantities with standard errors.
 Determinism contract: replicate r of a run with seed s draws from the
 stream (s, r), one independent generator per replicate, and the reduction
 is np.mean / np.std over the replicate-indexed value array (numpy pairwise
-summation).  Replicates run serially in index order; every estimator
-accepts a ``workers`` keyword, which does not change results.
+summation).  Replicates run serially in index order; est_norm, est_rowmax,
+est_entrymax and est_gdot accept a ``workers`` keyword, which does not
+change results.
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
 """
@@ -32,10 +33,13 @@ __all__ = [
     "est_ymax",
     "est_distance_sq",
     "equivalence_report",
+    "PROFILE_QUANTITIES",
     "QUANTITY_IDS",
 ]
 
-QUANTITY_IDS = ("norm", "rowmax", "entrymax", "gdot", "ymax", "distsq")
+# Quantities estimated from a profile alone; distsq also needs v and w.
+PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
+QUANTITY_IDS = (*PROFILE_QUANTITIES, "distsq")
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> 
     return _estimate(one, replicates, seed, "gdot")
 
 
-def est_ymax(split: SpectralSplit, replicates: int, seed: int, workers: int = 1) -> McEstimate:
+def est_ymax(split: SpectralSplit, replicates: int, seed: int) -> McEstimate:
     """E max_i Y_i for Y ~ N(0, B^-), sampled as Y = L g.
 
     When B is PSD the factor is empty, Y = 0, and the estimate is exactly
@@ -141,7 +145,6 @@ def est_distance_sq(
     w: np.ndarray,
     replicates: int,
     seed: int,
-    workers: int = 1,
 ) -> McEstimate:
     """E (<v, Xv> - <w, Xw>)^2, the Monte Carlo oracle for the natural
     metric."""
@@ -155,9 +158,7 @@ def est_distance_sq(
     return _estimate(one, replicates, seed, "distsq")
 
 
-def equivalence_report(
-    p: StdDevProfile, replicates: int, seed: int, workers: int = 1
-) -> dict:
+def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
     """The four equivalent quantities and their pairwise ratios.
 
     Quantities: rowmax and gdot (Monte Carlo), sigma + entrymax (closed
@@ -165,9 +166,9 @@ def equivalence_report(
     zero profile all quantities vanish and every ratio is reported as 1 by
     convention.
     """
-    rowmax = est_rowmax(p, replicates, seed, workers=workers)
-    gdot = est_gdot(p, replicates, seed, workers=workers)
-    entrymax = est_entrymax(p, replicates, seed, workers=workers)
+    rowmax = est_rowmax(p, replicates, seed)
+    gdot = est_gdot(p, replicates, seed)
+    entrymax = est_entrymax(p, replicates, seed)
     means = {
         "rowmax": rowmax.mean,
         "gdot": gdot.mean,

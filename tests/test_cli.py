@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specbounds import cli
 from specbounds.cli import main
 
 
@@ -176,11 +177,19 @@ class TestVerifyCommand:
     def test_zero_trials_is_input_error(self, capsys, check):
         _assert_input_error(capsys, ["verify", "--check", check, "--trials", "0"])
 
-    def test_non_finite_report_value_is_input_error(self, capsys):
-        # a NaN tolerance is echoed in the report; strict JSON refuses it
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, tol):
         _assert_input_error(
-            capsys, ["verify", "--check", "basic", "--trials", "5", "--tol", "nan"]
+            capsys, ["verify", "--check", "basic", "--trials", "5", f"--tol={tol}"]
         )
+        # rejected while parsing, so the error names the flag
+        assert main(["verify", "--check", "basic", f"--tol={tol}"]) == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_non_finite_report_value_is_input_error(self, capsys, monkeypatch):
+        # strict JSON: a non-finite number exits 1 instead of printing Infinity
+        monkeypatch.setattr(cli, "_check_split", lambda args: ([], {"worst": math.inf}))
+        _assert_input_error(capsys, ["verify", "--check", "split", "--trials", "1"])
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--check", "everything"]) == 1
