@@ -1,4 +1,4 @@
-"""Closed-form spectral-norm bounds and the gamma optimization.
+"""Closed-form spectral-norm bounds and the optimal gamma of Theorem 4.1.
 
 Universal constants the theory leaves unnamed are exposed as parameters
 (default C = 2) and every report records the exact values used.
@@ -41,9 +41,7 @@ BOUND_IDS = (
     "thm41",
 )
 
-GAMMA_GRID_LO = 1e-6
-GAMMA_GRID_HI = 1e6
-GAMMA_GRID_POINTS = 121
+GAMMA_FLOOR = 1e-6
 
 
 def bvh_bound(p: StdDevProfile) -> float:
@@ -95,28 +93,18 @@ def thm41_bound(gdot, ymax, max_entry_value: float, gamma: float) -> float:
 
 
 def optimize_gamma(gdot, ymax, max_entry_value: float) -> tuple[float, float]:
-    """Minimize thm41_bound over gamma > 0.
+    """Minimize thm41_bound over gamma > 0 in closed form.
 
-    Coarse log grid over [1e-6, 1e6] (121 points) followed by golden-section
-    refinement to relative width 1e-6.  A zero ymax term makes the bound
-    minimal at gamma = 1 exactly; a grid-edge argmin is returned as the edge
-    point itself (the bound is monotone beyond the grid in those regimes).
+    With G = E[gdot] and Y = E[ymax] (clipped at 0), 2 + gamma + 1/gamma =
+    (t + 1/t)^2 for t = sqrt(gamma), so the bound is t (G + Y) + G / t
+    + 2 max b.  It is minimal at gamma* = G / (G + Y) <= 1, with value
+    2 sqrt(G (G + Y)) + 2 max b.  Y = 0 gives gamma* = 1 exactly.  When G
+    vanishes the infimum is approached only as gamma -> 0, which
+    thm41_bound cannot take, so gamma is floored at GAMMA_FLOOR.
     """
-    if max(_mean_of(ymax), 0.0) == 0.0:
-        return 1.0, thm41_bound(gdot, ymax, max_entry_value, 1.0)
-
-    def f(gamma: float) -> float:
-        return thm41_bound(gdot, ymax, max_entry_value, gamma)
-
-    grid = np.logspace(
-        math.log10(GAMMA_GRID_LO), math.log10(GAMMA_GRID_HI), GAMMA_GRID_POINTS
-    )
-    values = [f(g) for g in grid]
-    k = int(np.argmin(values))
-    if k == 0 or k == len(grid) - 1:
-        return float(grid[k]), values[k]
-    gamma = _golden_section_log(f, grid[k - 1], grid[k + 1])
-    return gamma, f(gamma)
+    g, y = _mean_of(gdot), max(_mean_of(ymax), 0.0)
+    gamma = max(g / (g + y), GAMMA_FLOOR) if y > 0.0 else 1.0
+    return gamma, thm41_bound(gdot, ymax, max_entry_value, gamma)
 
 
 def bvhrect_bound(c: np.ndarray) -> float:
@@ -204,28 +192,6 @@ def compute_bound_report(
             "max_entry": bmax,
         },
     )
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_log(f, lo: float, hi: float, rel_width: float = 1e-6) -> float:
-    # Golden-section search on log(gamma); the stopping width in log space
-    # equals the relative width of the bracket.
-    a, b = math.log(lo), math.log(hi)
-    c1 = b - _INV_PHI * (b - a)
-    c2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(math.exp(c1)), f(math.exp(c2))
-    while b - a > rel_width:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _INV_PHI * (b - a)
-            f1 = f(math.exp(c1))
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _INV_PHI * (b - a)
-            f2 = f(math.exp(c2))
-    return math.exp((a + b) / 2.0)
 
 
 def _mean_of(estimate) -> float:

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gamma for the fixed-gamma comparison bound")
     pb.add_argument("--replicates", type=int, default=200,
                     help="replicates for the two Monte Carlo bound inputs")
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(pb)
     pb.add_argument("--out", type=Path)
 
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--quantity", required=True,
                     choices=[*montecarlo.PROFILE_QUANTITIES, "all"])
     pm.add_argument("--replicates", type=int, default=200)
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(pm)
     pm.add_argument("--out", type=Path)
 
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--check", required=True,
                     choices=["basic", "comparison", "slice", "split", "equiv"])
     pv.add_argument("--trials", type=int, default=10000)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_int_at_least(0), default=0)
     pv.add_argument("--tol", type=_finite_float, default=1e-9)
     pv.add_argument("--family", action="append", default=None,
                     help="family spec(s) for the slice/equiv checks")
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dims", required=True,
                     help="comma-separated dimensions, e.g. 16,64")
     ps.add_argument("--replicates", type=int, default=200)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(ps)
     ps.add_argument("--out", type=Path)
     return parser
@@ -141,16 +141,18 @@ def _add_profile_flags(parser) -> None:
 
 
 def _add_workers_flag(parser) -> None:
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=_int_at_least(1), default=1,
                         help="accepted for compatibility; replicates run serially "
                              "and results do not depend on it")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _finite_float(text: str) -> float:

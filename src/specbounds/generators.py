@@ -159,12 +159,10 @@ def make_family(name: str, params: dict) -> StdDevProfile:
         d = _take_int(p, "d")
         if d % 2 != 0:
             raise ValueError(f"kronecker_flip needs even d, got {d}")
-        p.setdefault("seed", 0)
-        profile = gen_kronecker_flip(random_psd_nonneg(d // 2, _take_int(p, "seed")))
+        profile = gen_kronecker_flip(random_psd_nonneg(d // 2, _take_seed(p, name)))
     elif name == "sparse_random":
-        p.setdefault("seed", 0)
         profile = gen_sparse_random(
-            _take_int(p, "d"), float(p.pop("density", 0.1)), _take_int(p, "seed")
+            _take_int(p, "d"), float(p.pop("density", 0.1)), _take_seed(p, name)
         )
     else:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
@@ -180,10 +178,12 @@ def parse_family_spec(spec: str) -> StdDevProfile:
     params = {}
     if rest:
         for item in rest.split(","):
-            key, eq, value = item.partition("=")
+            key, eq, value = (part.strip() for part in item.partition("="))
             if not eq:
                 raise ValueError(f"bad family parameter {item!r} in {spec!r}")
-            params[key.strip()] = float(value)
+            if key in params:
+                raise ValueError(f"repeated family parameter {key!r} in {spec!r}")
+            params[key] = float(value)
     try:
         return make_family(name, params)
     except KeyError as exc:
@@ -195,6 +195,13 @@ def _take_int(params: dict, key: str) -> int:
     if not float(value).is_integer():
         raise ValueError(f"parameter {key} must be an integer, got {value}")
     return int(value)
+
+
+def _take_seed(params: dict, family: str) -> int:
+    seed = _take_int(params, "seed") if "seed" in params else 0
+    if seed < 0:
+        raise ValueError(f"family {family!r} needs seed >= 0, got {seed}")
+    return seed
 
 
 def _check_dim(d: int) -> None:

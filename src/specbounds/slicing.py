@@ -83,13 +83,7 @@ def upper_tri(x: np.ndarray) -> np.ndarray:
 def slice_assembled_bound(p: StdDevProfile) -> float:
     """2 sqrt(N) max_n bvhrect(slice n), with vanishing rows and columns of
     each slice removed so the log term sees effective dimensions."""
-    decomposition = decompose(p)
-    best = 0.0
-    for profile in decomposition.slice_profiles:
-        trimmed = _trim_vanishing(profile)
-        if trimmed.size:
-            best = max(best, bvhrect_bound(trimmed))
-    return 2.0 * math.sqrt(decomposition.n_slices) * best
+    return _slice_bounds(decompose(p))[2]
 
 
 def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dict:
@@ -144,22 +138,28 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
 def decomposition_summary(p: StdDevProfile) -> dict:
     """Bands, per-slice effective dimensions, and per-slice bound values."""
     decomposition = decompose(p)
-    slices = []
-    for (lo, hi), profile in zip(decomposition.bands, decomposition.slice_profiles):
-        trimmed = _trim_vanishing(profile)
-        slices.append(
-            {
-                "rows": [lo, hi],
-                "effective_shape": list(trimmed.shape) if trimmed.size else [0, 0],
-                "bvhrect": bvhrect_bound(trimmed) if trimmed.size else 0.0,
-            }
-        )
+    trimmed, values, assembled = _slice_bounds(decomposition)
+    slices = [
+        {
+            "rows": [lo, hi],
+            "effective_shape": list(t.shape) if t.size else [0, 0],
+            "bvhrect": value,
+        }
+        for (lo, hi), t, value in zip(decomposition.bands, trimmed, values)
+    ]
     return {
         "n_slices": decomposition.n_slices,
         "bands": [list(band) for band in decomposition.bands],
         "slices": slices,
-        "assembled_bound": slice_assembled_bound(p),
+        "assembled_bound": assembled,
     }
+
+
+def _slice_bounds(decomposition: SliceDecomposition) -> tuple[list, list, float]:
+    # Trimmed slices, their bvhrect values (0 if empty) and 2 sqrt(N) max_n bvhrect.
+    trimmed = [_trim_vanishing(profile) for profile in decomposition.slice_profiles]
+    values = [bvhrect_bound(t) if t.size else 0.0 for t in trimmed]
+    return trimmed, values, 2.0 * math.sqrt(decomposition.n_slices) * max(values)
 
 
 def _trim_vanishing(profile: np.ndarray) -> np.ndarray:

@@ -153,6 +153,15 @@ class TestOptimizeGamma:
             _, bound = optimize_gamma(_estimate(gdot), _estimate(ymax), entry)
             assert bound == pytest.approx(oracle, rel=1e-6)
 
+    def test_closed_form_optimum(self):
+        # t = sqrt(gamma) turns the bound into t (G + Y) + G / t + 2m
+        for gdot, ymax, entry in ((1.0, 1.0, 0.0), (0.2, 3.0, 0.1), (5.0, 0.4, 1.0),
+                                  (1e-3, 7.0, 2.0)):
+            gamma, bound = optimize_gamma(_estimate(gdot), _estimate(ymax), entry)
+            assert gamma == pytest.approx(gdot / (gdot + ymax), rel=1e-12)
+            expected = 2.0 * math.sqrt(gdot * (gdot + ymax)) + 2.0 * entry
+            assert bound == pytest.approx(expected, rel=1e-12)
+
 
 class TestBvhrectBound:
     def test_all_ones_2x3(self):

@@ -28,6 +28,7 @@ def _assert_input_error(capsys, argv):
     err_lines = captured.err.strip().splitlines()
     assert err_lines[-1].startswith("error:")
     assert sum(line.startswith("error:") for line in err_lines) == 1
+    return err_lines[-1]
 
 
 class TestBoundsCommand:
@@ -80,6 +81,19 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_is_usage_error(self, capsys, command, workers):
         _assert_input_error(capsys, command + ["--workers", workers])
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--family", "wigner:d=4"],
+        ["mc", "--family", "wigner:d=4", "--quantity", "norm"],
+        ["verify", "--check", "basic", "--trials", "5"],
+        ["scan", "--families", "wigner", "--dims", "4"],
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        assert "--seed" in _assert_input_error(capsys, command + ["--seed", "-1"])
+
+    @pytest.mark.parametrize("spec", ["kronecker_flip:d=4,seed=-1", "sparse_random:d=4,seed=-1"])
+    def test_negative_family_seed_is_input_error(self, capsys, spec):
+        assert "seed" in _assert_input_error(capsys, ["bounds", "--family", spec])
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         assert main(["bounds", "--input", str(tmp_path / "absent.csv")]) == 1
@@ -264,6 +278,11 @@ class TestScanCommand:
         assert [row["family"] for row in report["rows"]] == [
             "sparse_random:density=0.35,seed=9,d=8", "wigner:d=8"
         ]
+
+    def test_repeated_family_key_is_input_error(self, capsys):
+        # the scanned dimension would silently override d=4
+        line = _assert_input_error(capsys, ["scan", "--families", "wigner:d=4", "--dims", "16"])
+        assert "'d'" in line and "wigner:d=4,d=16" in line
 
     def test_empty_families_is_usage_error(self, capsys):
         assert main(["scan", "--families", "", "--dims", "4"]) == 1

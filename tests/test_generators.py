@@ -164,6 +164,8 @@ class TestFamilySpecs:
     def test_bad_parameter_syntax(self):
         with pytest.raises(ValueError, match="bad family parameter"):
             parse_family_spec("wigner:d16")
+        with pytest.raises(ValueError, match="repeated family parameter 'd' in 'wigner:d=4,d=8'"):
+            parse_family_spec("wigner:d=4,d=8")
 
     @pytest.mark.parametrize(
         "spec", ["wigner:d=inf", "band:d=8,w=nan", "sparse_random:d=4,seed=inf",
@@ -172,6 +174,11 @@ class TestFamilySpecs:
     def test_non_integer_parameter(self, spec):
         with pytest.raises(ValueError, match="must be an integer"):
             parse_family_spec(spec)
+
+    @pytest.mark.parametrize("name", ["kronecker_flip", "sparse_random"])
+    def test_negative_seed_names_family(self, name):
+        with pytest.raises(ValueError, match=f"family '{name}' needs seed >= 0"):
+            make_family(name, {"d": 4, "seed": -1})
 
     def test_kronecker_odd_d(self):
         with pytest.raises(ValueError, match="even"):
