@@ -9,6 +9,7 @@ fields except wall_time_s reproduce exactly on re-runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -45,15 +46,17 @@ class SystemExit2(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps no state in the parser.
     parser = _Parser(prog="specbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="closed-form bound report for one profile")
     _add_profile_flags(pb)
-    pb.add_argument("--c", type=float, default=bounds.DEFAULT_C,
+    pb.add_argument("--c", type=_finite_float(positive=True), default=bounds.DEFAULT_C,
                     help="universal constant for the C-carrying bounds")
-    pb.add_argument("--gamma", type=float, default=1.0,
+    pb.add_argument("--gamma", type=_finite_float(positive=True), default=1.0,
                     help="gamma for the fixed-gamma comparison bound")
     pb.add_argument("--replicates", type=int, default=200,
                     help="replicates for the two Monte Carlo bound inputs")
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["basic", "comparison", "slice", "split", "equiv"])
     pv.add_argument("--trials", type=int, default=10000)
     pv.add_argument("--seed", type=_int_at_least(0), default=0)
-    pv.add_argument("--tol", type=_finite_float, default=1e-9)
+    pv.add_argument("--tol", type=_finite_float(), default=1e-9)
     pv.add_argument("--family", action="append", default=None,
                     help="family spec(s) for the slice/equiv checks")
     pv.add_argument("--replicates", type=int, default=50)
@@ -155,11 +158,14 @@ def _int_at_least(low: int):
     return integer
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+def _finite_float(positive: bool = False):
+    def number(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value) or (positive and value <= 0):
+            kind = "a finite number > 0" if positive else "a finite number"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text}")
+        return value
+    return number
 
 
 def _load(args) -> tuple[StdDevProfile, dict]:

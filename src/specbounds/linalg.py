@@ -73,10 +73,11 @@ def psd_split(b: np.ndarray) -> SpectralSplit:
     )
 
 
-def spectral_norm(a: np.ndarray) -> float:
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     """Largest absolute eigenvalue of a symmetric matrix, from the dense
-    eigensolve."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(_as_symmetric(a)))))
+    eigensolve; for a (k, d, d) stack, the array of the k norms."""
+    norms = np.max(np.abs(np.linalg.eigvalsh(_as_symmetric(a, stack=True))), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -119,10 +120,11 @@ def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]
     return problems
 
 
-def _as_symmetric(a: np.ndarray) -> np.ndarray:
+def _as_symmetric(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    # stack=True also accepts a (k, d, d) stack of matrices.
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * (1.0 + np.abs(a).max())):
+    if not np.allclose(a, a.swapaxes(-1, -2), rtol=0, atol=1e-12 * (1.0 + np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
     return a

@@ -1,14 +1,25 @@
 """Seeded sampling of X, g, and Y and estimation of the stochastic
 quantities with standard errors.
 
-Determinism contract: replicate r of a run with seed s draws from the
-stream (s, r), one independent generator per replicate, and the reduction
-is np.mean / np.std over the replicate-indexed value array (numpy pairwise
-summation).  Replicates run serially in index order; est_norm, est_rowmax,
-est_entrymax and est_gdot accept a ``workers`` keyword, which does not
-change results.
-Standard normals come from numpy's Generator (ziggurat transform); the
-transform is fixed within a build but not promised across numpy versions.
+Determinism contract: replicates are drawn in blocks.  When a replicate
+needs n standard normals, a block holds K = max(1, 32768 // n) replicates
+(256 KiB of normals), and replicate r of a run with seed s is row r % K of
+block r // K, which is drawn from the stream (s, tag, r // K).  X needs
+n = d(d+1)/2, g for gdot needs d and g for ymax the rank of B^-.  K
+depends only on n, so replicate r's value does not depend on the replicate
+count, and the last block of a run is a prefix of the full block.  The
+reduction is np.mean / np.std over the replicate-indexed value array
+(numpy pairwise summation).
+
+norm, rowmax, entrymax and distsq share the X tag (common random numbers):
+on each replicate they see the same X, so ||X|| >= max row norm >= max
+|X_ij| carries over to the means.  gdot and ymax have tags of their own,
+so the two terms of the Theorem 4.1 bound are independent.
+
+est_norm, est_rowmax, est_entrymax and est_gdot accept a ``workers``
+keyword, which does not change results.  Standard normals come from
+numpy's Generator (ziggurat transform); the transform is fixed within a
+build but not promised across numpy versions.
 """
 
 from __future__ import annotations
@@ -18,14 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import equiv_expression
-from .geometry import _check_vector, simplex_sup
+from .geometry import _check_vector
 from .linalg import SpectralSplit, spectral_norm
 from .profile import StdDevProfile, sigma
 
 __all__ = [
     "RandomStream",
     "McEstimate",
+    "block_size",
     "sample_X",
+    "x_stacks",
     "est_norm",
     "est_rowmax",
     "est_entrymax",
@@ -41,16 +54,27 @@ __all__ = [
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
 QUANTITY_IDS = (*PROFILE_QUANTITIES, "distsq")
 
+# Stream tags: X for norm, rowmax, entrymax and distsq; g for gdot and ymax.
+X_TAG, GDOT_TAG, YMAX_TAG = 1, 2, 3
+
+# Standard normals per block (256 KiB of float64).
+BLOCK_NORMALS = 32768
+
 
 @dataclass(frozen=True)
 class RandomStream:
-    """One pseudo-random stream, keyed by (seed, stream_id)."""
+    """One pseudo-random stream, keyed by (seed, tag, block)."""
 
     seed: int
-    stream_id: int
+    tag: int
+    block: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream_id])
+        # As a spawn key, (tag, block) cannot collide with the
+        # default_rng([seed, t]) streams of the corpora; default_rng([seed,
+        # tag, 0]) would, because numpy pads short entropy with zeros.
+        key = np.random.SeedSequence(self.seed, spawn_key=(self.tag, self.block))
+        return np.random.default_rng(key)
 
 
 @dataclass(frozen=True)
@@ -73,55 +97,64 @@ class McEstimate:
         }
 
 
-def sample_X(p: StdDevProfile, stream: RandomStream) -> np.ndarray:
-    """One draw of the symmetric matrix X_ij = b_ij * g_ij.
+def block_size(n: int) -> int:
+    """Replicates per block when each replicate needs n normals: K =
+    max(1, BLOCK_NORMALS // n), so a block holds at most 256 KiB of
+    normals unless one replicate alone is larger."""
+    return max(1, BLOCK_NORMALS // max(n, 1))
 
-    Gaussians are drawn as a full d x d block from the stream; the lower
-    triangle (including the diagonal) is kept and mirrored, so entries with
-    i >= j are independent and X is exactly symmetric.
+
+def sample_X(p: StdDevProfile, stream: RandomStream, k: int | None = None) -> np.ndarray:
+    """Draws of the symmetric matrix X_ij = b_ij * g_ij: one d x d matrix,
+    or a (k, d, d) stack when k is given.
+
+    Each matrix takes d(d+1)/2 consecutive normals from the stream, which
+    fill its lower triangle (including the diagonal) row by row and are
+    mirrored, so entries with i >= j are independent and X is exactly
+    symmetric.  Matrix j of a stack takes normals j*d(d+1)/2 onward, so a
+    stack of k matrices is a prefix of any larger stack from the same
+    stream.
     """
-    rng = stream.generator()
-    g = rng.standard_normal((p.d, p.d))
-    g = np.tril(g) + np.tril(g, -1).T
+    rows, cols = np.tril_indices(p.d)
+    shape = (p.d, p.d) if k is None else (k, p.d, p.d)
+    lower = stream.generator().standard_normal(shape[:-2] + (rows.size,))
+    g = np.empty(shape)
+    g[..., rows, cols] = lower
+    g[..., cols, rows] = lower
     return p.b * g
+
+
+def x_stacks(p: StdDevProfile, replicates: int, seed: int):
+    """The X stacks of replicates 0..R-1 in order: block i comes from the
+    stream (seed, X_TAG, i)."""
+    for block, k in _blocks(replicates, p.d * (p.d + 1) // 2):
+        yield sample_X(p, RandomStream(seed, X_TAG, block), k)
 
 
 def est_norm(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E ||X||, the expected spectral norm."""
-
-    def one(r: int) -> float:
-        return spectral_norm(sample_X(p, RandomStream(seed, r)))
-
-    return _estimate(one, replicates, seed, "norm")
+    return _reduce(map(spectral_norm, x_stacks(p, replicates, seed)), replicates, seed, "norm")
 
 
 def est_rowmax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E max_i sqrt(sum_j X_ij^2), the largest row Euclidean norm."""
-
-    def one(r: int) -> float:
-        x = sample_X(p, RandomStream(seed, r))
-        return float(np.sqrt(np.max(np.sum(x * x, axis=1))))
-
-    return _estimate(one, replicates, seed, "rowmax")
+    values = (np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
+              for x in x_stacks(p, replicates, seed))
+    return _reduce(values, replicates, seed, "rowmax")
 
 
 def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E max_ij |X_ij|."""
-
-    def one(r: int) -> float:
-        return float(np.max(np.abs(sample_X(p, RandomStream(seed, r)))))
-
-    return _estimate(one, replicates, seed, "entrymax")
+    values = (np.max(np.abs(x), axis=(1, 2)) for x in x_stacks(p, replicates, seed))
+    return _reduce(values, replicates, seed, "entrymax")
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E max_i sqrt(sum_j b_ij^2 g_j^2) with one shared g per replicate."""
-
-    def one(r: int) -> float:
-        g = RandomStream(seed, r).generator().standard_normal(p.d)
-        return simplex_sup(p, g)
-
-    return _estimate(one, replicates, seed, "gdot")
+    variance = p.variance_matrix  # symmetric, so (g*g) @ B has rows B (g*g)
+    values = (np.sqrt(np.max((g * g) @ variance, axis=1))
+              for g in _normal_stacks(p.d, replicates, seed, GDOT_TAG))
+    return _reduce(values, replicates, seed, "gdot")
 
 
 def est_ymax(split: SpectralSplit, replicates: int, seed: int) -> McEstimate:
@@ -131,12 +164,9 @@ def est_ymax(split: SpectralSplit, replicates: int, seed: int) -> McEstimate:
     (0, 0).
     """
     factor = split.factor_l
-
-    def one(r: int) -> float:
-        g = RandomStream(seed, r).generator().standard_normal(factor.shape[1])
-        return float(np.max(factor @ g)) if factor.shape[1] else 0.0
-
-    return _estimate(one, replicates, seed, "ymax")
+    values = (np.max(g @ factor.T, axis=1)
+              for g in _normal_stacks(factor.shape[1], replicates, seed, YMAX_TAG))
+    return _reduce(values, replicates, seed, "ymax")
 
 
 def est_distance_sq(
@@ -150,12 +180,9 @@ def est_distance_sq(
     metric."""
     v = _check_vector(v, p.d)
     w = _check_vector(w, p.d)
-
-    def one(r: int) -> float:
-        x = sample_X(p, RandomStream(seed, r))
-        return float(v @ x @ v - w @ x @ w) ** 2
-
-    return _estimate(one, replicates, seed, "distsq")
+    values = ((np.einsum("i,kij,j->k", v, x, v) - np.einsum("i,kij,j->k", w, x, w)) ** 2
+              for x in x_stacks(p, replicates, seed))
+    return _reduce(values, replicates, seed, "distsq")
 
 
 def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
@@ -192,10 +219,24 @@ def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
     }
 
 
-def _estimate(one, replicates: int, seed: int, quantity: str) -> McEstimate:
+def _blocks(replicates: int, n: int):
+    # (block, rows) pairs: replicate r is row r % K of block r // K.
+    size = block_size(n)
+    for block, start in enumerate(range(0, replicates, size)):
+        yield block, min(size, replicates - start)
+
+
+def _normal_stacks(n: int, replicates: int, seed: int, tag: int):
+    # (k, n) standard normal stacks for replicates 0..R-1 in order.
+    for block, k in _blocks(replicates, n):
+        yield RandomStream(seed, tag, block).generator().standard_normal((k, n))
+
+
+def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
+    # values yields one array per block; nothing is drawn before the check.
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    values = np.array([one(r) for r in range(replicates)], dtype=np.float64)
+    values = np.concatenate(list(values))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(replicates))
     if not (np.isfinite(mean) and np.isfinite(stderr)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import bvhrect_bound
 from .linalg import operator_norm
-from .montecarlo import RandomStream, _ratio, sample_X
+from .montecarlo import _ratio, x_stacks
 from .profile import StdDevProfile, rearrange
 
 __all__ = [
@@ -89,8 +89,9 @@ def slice_assembled_bound(p: StdDevProfile) -> float:
 def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dict:
     """Check the pointwise norm inequalities on sampled matrices.
 
-    For each replicate X (drawn on the rearranged profile, streams
-    (seed, r)) asserts, up to 1e-9-scaled slack,
+    For each replicate X (drawn on the rearranged profile by
+    montecarlo.x_stacks, the X streams of the Monte Carlo estimators)
+    asserts, up to 1e-9-scaled slack,
 
         ||Xlow||^2 <= sum_n ||X^(n)||^2   and   ||X|| <= ||Xup|| + ||Xlow||,
 
@@ -105,8 +106,7 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     holds = True
     max_ratio_sum = -math.inf
     ratio_slice_min, ratio_slice_max = math.inf, -math.inf
-    for r in range(replicates):
-        x = sample_X(pstar, RandomStream(seed, r))
+    for x in (x for stack in x_stacks(pstar, replicates, seed) for x in stack):
         xlow = lower_tri(x)
         xup = upper_tri(x)
         slice_norms_sq = [

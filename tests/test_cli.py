@@ -95,6 +95,14 @@ class TestBoundsCommand:
     def test_negative_family_seed_is_input_error(self, capsys, spec):
         assert "seed" in _assert_input_error(capsys, ["bounds", "--family", spec])
 
+    @pytest.mark.parametrize("flag", ["--c", "--gamma"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_nonpositive_or_non_finite_constant_is_usage_error(self, capsys, flag, value):
+        line = _assert_input_error(
+            capsys, ["bounds", "--family", "wigner:d=4", f"{flag}={value}"]
+        )
+        assert f"argument {flag}:" in line and value in line
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         assert main(["bounds", "--input", str(tmp_path / "absent.csv")]) == 1
 
@@ -207,6 +215,19 @@ class TestVerifyCommand:
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--check", "everything"]) == 1
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_calls_share_no_state(self, capsys):
+        # an appended --family must not carry over to the next call
+        argv = ["verify", "--check", "equiv", "--replicates", "2"]
+        _, first = _run_json(capsys, argv + ["--family", "diagonal_unit:d=2"])
+        _, second = _run_json(capsys, argv)
+        assert list(first["reports"]) == ["diagonal_unit:d=2"]
+        assert list(second["reports"]) == cli.DEFAULT_EQUIV_FAMILIES
 
 
 class TestBallCommand:

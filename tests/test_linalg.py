@@ -120,6 +120,21 @@ class TestSpectralNorm:
     def test_zero_matrix_large(self):
         assert spectral_norm(np.zeros((100, 100))) == 0.0
 
+    def test_stack_matches_each_matrix(self):
+        stack = np.stack([random_symmetric(7, seed=seed) for seed in range(5)])
+        norms = spectral_norm(stack)
+        assert norms.shape == (5,)
+        np.testing.assert_array_equal(norms, [spectral_norm(a) for a in stack])
+
+    def test_stack_symmetry_checked(self):
+        stack = np.stack([np.eye(3), np.triu(np.ones((3, 3)))])
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectral_norm(stack)
+
+    def test_sym_eig_rejects_stack(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            sym_eig(np.stack([np.eye(3)] * 2))
+
 
 class TestOperatorNorm:
     def test_rectangular(self):

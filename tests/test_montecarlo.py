@@ -1,18 +1,26 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from specbounds.generators import (
     gen_bandeira,
+    gen_diagonal_decay,
     gen_diagonal_unit,
     gen_wigner,
+    make_family,
     random_profile,
 )
-from specbounds.linalg import psd_split
+from specbounds.geometry import simplex_sup
+from specbounds.linalg import psd_split, spectral_norm
 from specbounds.montecarlo import (
+    GDOT_TAG,
+    X_TAG,
+    YMAX_TAG,
     McEstimate,
     RandomStream,
+    block_size,
     equivalence_report,
     est_distance_sq,
     est_entrymax,
@@ -21,6 +29,7 @@ from specbounds.montecarlo import (
     est_rowmax,
     est_ymax,
     sample_X,
+    x_stacks,
 )
 from specbounds.profile import StdDevProfile
 
@@ -224,3 +233,150 @@ class TestEquivalenceReport:
             assert ratios[a][a] == pytest.approx(1.0)
             for b in means:
                 assert ratios[a][b] == pytest.approx(means[a] / means[b])
+
+
+def _documented_k(n):
+    # K = max(1, 32768 // n) replicates per block of 256 KiB of normals
+    return max(1, 32768 // n)
+
+
+def _documented_rows(draw, n, replicates):
+    """Replicate r is row r % K of block r // K; each block is drawn whole
+    (K rows) here, so a partial last block in the estimator must be its
+    prefix."""
+    k = _documented_k(n)
+    blocks = [draw(block, k) for block in range((replicates + k - 1) // k)]
+    return [blocks[r // k][r % k] for r in range(replicates)]
+
+
+def _assert_matches(est, values):
+    assert est.replicates == len(values)
+    assert est.mean == pytest.approx(np.mean(values), rel=1e-12)
+    assert est.stderr == pytest.approx(
+        np.std(values, ddof=1) / math.sqrt(len(values)), rel=1e-12
+    )
+
+
+class TestBlockContract:
+    SEED = 404
+
+    def test_documented_block_sizes(self):
+        tri = lambda d: d * (d + 1) // 2
+        assert [block_size(tri(d)) for d in (6, 16, 128, 180, 181)] == [1560, 240, 3, 2, 1]
+
+    @pytest.mark.parametrize("d", [6, 16])
+    def test_x_estimators_match_scalar_definitions(self, d):
+        p = random_profile(d, seed=d)
+        n = d * (d + 1) // 2
+        replicates = 2 * _documented_k(n) + 3
+        xs = _documented_rows(
+            lambda block, k: sample_X(p, RandomStream(self.SEED, X_TAG, block), k),
+            n, replicates,
+        )
+        vw = np.random.default_rng(d)
+        v, w = vw.standard_normal(d), vw.standard_normal(d)
+        _assert_matches(est_norm(p, replicates, self.SEED), [spectral_norm(x) for x in xs])
+        _assert_matches(
+            est_rowmax(p, replicates, self.SEED),
+            [max(math.sqrt(float(row @ row)) for row in x) for x in xs],
+        )
+        _assert_matches(
+            est_entrymax(p, replicates, self.SEED), [float(np.max(np.abs(x))) for x in xs]
+        )
+        _assert_matches(
+            est_distance_sq(p, v, w, replicates, self.SEED),
+            [float(v @ x @ v - w @ x @ w) ** 2 for x in xs],
+        )
+
+    @pytest.mark.parametrize("d", [6, 16])
+    def test_g_estimators_match_scalar_definitions(self, d):
+        p = random_profile(d, seed=d)
+        replicates = 2 * _documented_k(d) + 3
+        gs = _documented_rows(
+            lambda block, k: RandomStream(self.SEED, GDOT_TAG, block)
+            .generator().standard_normal((k, d)),
+            d, replicates,
+        )
+        _assert_matches(est_gdot(p, replicates, self.SEED), [simplex_sup(p, g) for g in gs])
+
+        split = psd_split(p.variance_matrix)
+        rank = split.factor_l.shape[1]
+        assert rank > 0
+        replicates = 2 * _documented_k(rank) + 3
+        gs = _documented_rows(
+            lambda block, k: RandomStream(self.SEED, YMAX_TAG, block)
+            .generator().standard_normal((k, rank)),
+            rank, replicates,
+        )
+        _assert_matches(
+            est_ymax(split, replicates, self.SEED),
+            [float(np.max(split.factor_l @ g)) for g in gs],
+        )
+
+    @pytest.mark.parametrize("family", ["diagonal_unit", "diagonal_decay"])
+    def test_common_random_numbers_on_diagonal_profiles(self, family):
+        # ||X|| = max row norm = max |X_ii| on every replicate of a diagonal X
+        p = make_family(family, {"d": 16})
+        norm = est_norm(p, 500, self.SEED)
+        rowmax = est_rowmax(p, 500, self.SEED)
+        entrymax = est_entrymax(p, 500, self.SEED)
+        assert (rowmax.mean, rowmax.stderr) == (entrymax.mean, entrymax.stderr)
+        assert norm.mean == pytest.approx(entrymax.mean, rel=1e-12)
+        assert norm.stderr == pytest.approx(entrymax.stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [6, 16])
+    def test_longer_run_extends_shorter_run(self, d):
+        p = random_profile(d, seed=d)
+        k = _documented_k(d * (d + 1) // 2)
+        replicates = k + 5
+        short = np.concatenate(list(x_stacks(p, replicates, self.SEED)))
+        long = np.concatenate(list(x_stacks(p, replicates + k, self.SEED)))
+        assert short.shape == (replicates, d, d)
+        np.testing.assert_array_equal(short, long[:replicates])
+
+    def test_seed_and_tags_select_distinct_streams(self):
+        p = gen_wigner(4)
+        draws = [sample_X(p, RandomStream(*key)) for key in
+                 [(1, X_TAG, 0), (2, X_TAG, 0), (1, GDOT_TAG, 0), (1, X_TAG, 1)]]
+        for a in range(len(draws)):
+            for b in range(a):
+                assert not np.array_equal(draws[a], draws[b])
+
+
+def _diagonal_norm_oracle(diag, intervals=2000):
+    """E max_i b_i |g_i| = int_0^inf (1 - prod_i erf(t / (b_i sqrt 2))) dt
+    by composite Simpson on [0, 12 max b_i], past which each factor is 1
+    to double precision."""
+    counts = Counter(float(b) for b in diag if b > 0.0)
+    top = 12.0 * max(counts)
+    h = top / intervals
+
+    def tail(t):
+        prod = 1.0
+        for b, count in counts.items():
+            prod *= math.erf(t / (b * math.sqrt(2.0))) ** count
+        return 1.0 - prod
+
+    weights = [1.0] + [4.0 if k % 2 else 2.0 for k in range(1, intervals)] + [1.0]
+    return h / 3.0 * sum(wk * tail(k * h) for k, wk in enumerate(weights))
+
+
+class TestDiagonalOracle:
+    # For a diagonal profile ||X|| = max row norm = max |X_ij| = max_i b_i |g_i|
+    # and gdot = max_i b_i |g_i| too, so all four share one exact expectation.
+
+    def test_oracle_half_normal(self):
+        assert _diagonal_norm_oracle([1.0]) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-10)
+
+    def test_x_estimators_on_diagonal_decay(self):
+        p = gen_diagonal_decay(256)
+        oracle = _diagonal_norm_oracle(np.diag(p.b))
+        for fn in (est_norm, est_rowmax, est_entrymax):
+            est = fn(p, 200, 8)
+            assert abs(est.mean - oracle) <= 5.0 * est.stderr, fn.__name__
+
+    def test_gdot_on_diagonal_unit_4096(self):
+        p = gen_diagonal_unit(4096)
+        oracle = _diagonal_norm_oracle(np.diag(p.b))
+        est = est_gdot(p, 200, 8)
+        assert abs(est.mean - oracle) <= 5.0 * est.stderr
