@@ -129,6 +129,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy names the requested size, e.g. "Unable to allocate 29.1 TiB
+        # for an array with shape (2000000, 2000000) ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if getattr(args, "out", None):
         args.out.write_text(text if text.endswith("\n") else text + "\n")
     print(text)
@@ -197,25 +202,19 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 def _cmd_mc(args) -> tuple[dict, int]:
     profile, source = _load(args)
     quantities = montecarlo.PROFILE_QUANTITIES if args.quantity == "all" else [args.quantity]
-    estimates = {}
-    for quantity in quantities:
-        if quantity == "ymax":
-            split = psd_split(profile.variance_matrix)
-            est = montecarlo.est_ymax(split, args.replicates, args.seed)
-        else:
-            fn = {
-                "norm": montecarlo.est_norm,
-                "rowmax": montecarlo.est_rowmax,
-                "entrymax": montecarlo.est_entrymax,
-                "gdot": montecarlo.est_gdot,
-            }[quantity]
-            est = fn(profile, args.replicates, args.seed)
-        estimates[quantity] = est.to_dict()
+    x_quantities = [q for q in quantities if q in montecarlo.X_QUANTITIES]
+    estimates = (montecarlo.est_x(profile, args.replicates, args.seed, x_quantities)
+                 if x_quantities else {})
+    if "gdot" in quantities:
+        estimates["gdot"] = montecarlo.est_gdot(profile, args.replicates, args.seed)
+    if "ymax" in quantities:
+        split = psd_split(profile.variance_matrix)
+        estimates["ymax"] = montecarlo.est_ymax(split, args.replicates, args.seed)
     return {
         "schema": SCHEMA_VERSION,
         "command": "mc",
         "profile": {"d": profile.d, "digest": profile.digest(), **source},
-        "estimates": estimates,
+        "estimates": {q: estimates[q].to_dict() for q in quantities},
         "replicates": args.replicates,
         "seed": args.seed,
     }, EXIT_OK
@@ -256,9 +255,8 @@ def _cmd_scan(args) -> tuple[dict, int]:
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
     report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
-    norm = montecarlo.est_norm(profile, args.replicates, args.seed)
-    rowmax = montecarlo.est_rowmax(profile, args.replicates, args.seed)
-    entrymax = montecarlo.est_entrymax(profile, args.replicates, args.seed)
+    x = montecarlo.est_x(profile, args.replicates, args.seed)
+    norm, rowmax, entrymax = x["norm"], x["rowmax"], x["entrymax"]
     equiv_value = report.values["equiv_expression"]
     return {
         "family": spec,

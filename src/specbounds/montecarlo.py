@@ -13,8 +13,11 @@ reduction is np.mean / np.std over the replicate-indexed value array
 
 norm, rowmax, entrymax and distsq share the X tag (common random numbers):
 on each replicate they see the same X, so ||X|| >= max row norm >= max
-|X_ij| carries over to the means.  gdot and ymax have tags of their own,
-so the two terms of the Theorem 4.1 bound are independent.
+|X_ij| carries over to the means.  est_x estimates any of norm, rowmax and
+entrymax from one shared stack per block: each X block is drawn once and
+read by every quantity asked for, and est_norm, est_rowmax and
+est_entrymax are est_x with one quantity.  gdot and ymax have tags of
+their own, so the two terms of the Theorem 4.1 bound are independent.
 
 est_norm, est_rowmax, est_entrymax and est_gdot accept a ``workers``
 keyword, which does not change results.  Standard normals come from
@@ -24,6 +27,7 @@ build but not promised across numpy versions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ __all__ = [
     "block_size",
     "sample_X",
     "x_stacks",
+    "est_x",
     "est_norm",
     "est_rowmax",
     "est_entrymax",
@@ -48,11 +53,14 @@ __all__ = [
     "equivalence_report",
     "PROFILE_QUANTITIES",
     "QUANTITY_IDS",
+    "X_QUANTITIES",
 ]
 
 # Quantities estimated from a profile alone; distsq also needs v and w.
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
 QUANTITY_IDS = (*PROFILE_QUANTITIES, "distsq")
+# Profile quantities that est_x reduces from the X stacks.
+X_QUANTITIES = ("norm", "rowmax", "entrymax")
 
 # Stream tags: X for norm, rowmax, entrymax and distsq; g for gdot and ymax.
 X_TAG, GDOT_TAG, YMAX_TAG = 1, 2, 3
@@ -115,13 +123,23 @@ def sample_X(p: StdDevProfile, stream: RandomStream, k: int | None = None) -> np
     stack of k matrices is a prefix of any larger stack from the same
     stream.
     """
-    rows, cols = np.tril_indices(p.d)
-    shape = (p.d, p.d) if k is None else (k, p.d, p.d)
-    lower = stream.generator().standard_normal(shape[:-2] + (rows.size,))
-    g = np.empty(shape)
-    g[..., rows, cols] = lower
-    g[..., cols, rows] = lower
-    return p.b * g
+    pos = _lower_positions(p.d)
+    shape = () if k is None else (k,)
+    lower = stream.generator().standard_normal(shape + (p.d * (p.d + 1) // 2,))
+    x = np.take(lower, pos, axis=-1)
+    x *= p.b
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _lower_positions(d: int) -> np.ndarray:
+    # (d, d) map from (i, j) to the index of entry (max(i, j), min(i, j)) in
+    # the row-by-row lower triangle, so taking it mirrors the triangle.
+    i, j = np.indices((d, d), dtype=np.intp)
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    pos = hi * (hi + 1) // 2 + lo
+    pos.flags.writeable = False
+    return pos
 
 
 def x_stacks(p: StdDevProfile, replicates: int, seed: int):
@@ -131,22 +149,49 @@ def x_stacks(p: StdDevProfile, replicates: int, seed: int):
         yield sample_X(p, RandomStream(seed, X_TAG, block), k)
 
 
+def est_x(
+    p: StdDevProfile,
+    replicates: int,
+    seed: int,
+    quantities=X_QUANTITIES,
+) -> dict[str, McEstimate]:
+    """Estimates of the X quantities named in ``quantities`` (any of
+    X_QUANTITIES), keyed by name, from one pass over the X stacks: each
+    block is drawn once and read by every quantity."""
+    _check_replicates(replicates)
+    unknown = [q for q in quantities if q not in X_QUANTITIES]
+    if unknown:
+        raise ValueError(f"not an X quantity: {unknown[0]!r}")
+    values = {q: [] for q in quantities}
+    for x in x_stacks(p, replicates, seed):
+        for quantity, blocks in values.items():
+            blocks.append(_x_values(quantity, x))
+    return {q: _reduce(blocks, replicates, seed, q) for q, blocks in values.items()}
+
+
 def est_norm(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E ||X||, the expected spectral norm."""
-    return _reduce(map(spectral_norm, x_stacks(p, replicates, seed)), replicates, seed, "norm")
+    return est_x(p, replicates, seed, ("norm",))["norm"]
 
 
 def est_rowmax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E max_i sqrt(sum_j X_ij^2), the largest row Euclidean norm."""
-    values = (np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
-              for x in x_stacks(p, replicates, seed))
-    return _reduce(values, replicates, seed, "rowmax")
+    return est_x(p, replicates, seed, ("rowmax",))["rowmax"]
 
 
 def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
     """E max_ij |X_ij|."""
-    values = (np.max(np.abs(x), axis=(1, 2)) for x in x_stacks(p, replicates, seed))
-    return _reduce(values, replicates, seed, "entrymax")
+    return est_x(p, replicates, seed, ("entrymax",))["entrymax"]
+
+
+def _x_values(quantity: str, x: np.ndarray) -> np.ndarray:
+    # One value per matrix of the (k, d, d) stack x.  spectral_norm is looked
+    # up at call time, so a wrapper installed on this module sees every call.
+    if quantity == "norm":
+        return spectral_norm(x)
+    if quantity == "rowmax":
+        return np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
+    return np.max(np.abs(x), axis=(1, 2))
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -193,9 +238,9 @@ def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
     zero profile all quantities vanish and every ratio is reported as 1 by
     convention.
     """
-    rowmax = est_rowmax(p, replicates, seed)
+    x = est_x(p, replicates, seed, ("rowmax", "entrymax"))
+    rowmax, entrymax = x["rowmax"], x["entrymax"]
     gdot = est_gdot(p, replicates, seed)
-    entrymax = est_entrymax(p, replicates, seed)
     means = {
         "rowmax": rowmax.mean,
         "gdot": gdot.mean,
@@ -232,10 +277,14 @@ def _normal_stacks(n: int, replicates: int, seed: int, tag: int):
         yield RandomStream(seed, tag, block).generator().standard_normal((k, n))
 
 
-def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
-    # values yields one array per block; nothing is drawn before the check.
+def _check_replicates(replicates: int) -> None:
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
+
+
+def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
+    # values yields one array per block; nothing is drawn before the check.
+    _check_replicates(replicates)
     values = np.concatenate(list(values))
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(replicates))

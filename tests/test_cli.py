@@ -144,6 +144,15 @@ class TestMcCommand:
     def test_bad_quantity_is_usage_error(self, capsys):
         assert main(["mc", "--family", "wigner:d=4", "--quantity", "trace"]) == 1
 
+    def test_huge_dimension_is_input_error(self, capsys):
+        # 284 PiB is more than a 57-bit virtual address space (128 PiB) holds,
+        # so the request fails before anything is allocated, whatever the
+        # overcommit policy.
+        line = _assert_input_error(
+            capsys, ["mc", "--family", "wigner:d=200000000", "--quantity", "norm"]
+        )
+        assert "out of memory" in line and "PiB" in line
+
 
 class TestVerifyCommand:
     def test_basic_check_passes(self, capsys):

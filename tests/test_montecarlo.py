@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from specbounds import cli, montecarlo
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_decay,
@@ -27,6 +28,7 @@ from specbounds.montecarlo import (
     est_gdot,
     est_norm,
     est_rowmax,
+    est_x,
     est_ymax,
     sample_X,
     x_stacks,
@@ -71,6 +73,30 @@ class TestSampleX:
         mean = draws.mean(axis=0)
         stderr = draws.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(mean - p.b ** 2) <= 4.0 * stderr + 1e-15)
+
+
+def _scatter_sample_X(p, stream, k=None):
+    # Reference: the tril_indices two-scatter sampler that the gather replaced.
+    rows, cols = np.tril_indices(p.d)
+    shape = (p.d, p.d) if k is None else (k, p.d, p.d)
+    lower = stream.generator().standard_normal(shape[:-2] + (rows.size,))
+    g = np.empty(shape)
+    g[..., rows, cols] = lower
+    g[..., cols, rows] = lower
+    return p.b * g
+
+
+class TestSampleXGather:
+    @pytest.mark.parametrize("d", [1, 2, 6, 17])
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    def test_matches_scatter_reference(self, d, k):
+        p = random_profile(d, seed=d, density=0.5)
+        stream = RandomStream(3, X_TAG, d)
+        got = sample_X(p, stream, k)
+        want = _scatter_sample_X(p, stream, k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEstimators:
@@ -233,6 +259,78 @@ class TestEquivalenceReport:
             assert ratios[a][a] == pytest.approx(1.0)
             for b in means:
                 assert ratios[a][b] == pytest.approx(means[a] / means[b])
+
+
+def _count_sample_X(monkeypatch):
+    calls = []
+    original = montecarlo.sample_X
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_X", counted)
+    return calls
+
+
+class TestEstX:
+    SEED = 505
+    PROFILES = {
+        "dense": lambda d: random_profile(d, seed=1),
+        "sparse": lambda d: random_profile(d, seed=2, density=0.3),
+        "diagonal": gen_diagonal_decay,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    @pytest.mark.parametrize("d", [6, 16])
+    def test_matches_single_quantity_estimators(self, kind, d):
+        p = self.PROFILES[kind](d)
+        replicates = 2 * _documented_k(d * (d + 1) // 2) + 3
+        fused = est_x(p, replicates, self.SEED)
+        assert list(fused) == ["norm", "rowmax", "entrymax"]
+        for fn in (est_norm, est_rowmax, est_entrymax):
+            single = fn(p, replicates, self.SEED)
+            assert fused[single.quantity].to_dict() == single.to_dict()
+
+    def test_subset_in_requested_order(self):
+        p = gen_wigner(5)
+        fused = est_x(p, 30, self.SEED, ("entrymax", "norm"))
+        assert list(fused) == ["entrymax", "norm"]
+        assert fused["norm"].to_dict() == est_norm(p, 30, self.SEED).to_dict()
+
+    def test_replicate_floor_draws_nothing(self, monkeypatch):
+        calls = _count_sample_X(monkeypatch)
+        with pytest.raises(ValueError, match="replicates must be >= 2"):
+            est_x(gen_wigner(4), 1, self.SEED)
+        assert calls == []
+
+    def test_unknown_quantity_is_rejected(self):
+        with pytest.raises(ValueError, match="gdot"):
+            est_x(gen_wigner(4), 10, self.SEED, ("norm", "gdot"))
+
+
+class TestEachXBlockDrawnOnce:
+    # d = 16: K = 240 replicates per block, so R = 2K + 3 spans 3 blocks.
+    D = 16
+    REPLICATES = 2 * 240 + 3
+    BLOCKS = 3
+
+    def test_mc_all(self, monkeypatch, capsys):
+        calls = _count_sample_X(monkeypatch)
+        assert cli.main(["mc", "--family", f"band:d={self.D},w=3", "--quantity", "all",
+                         "--replicates", str(self.REPLICATES)]) == 0
+        assert len(calls) == self.BLOCKS
+
+    def test_scan_row(self, monkeypatch, capsys):
+        calls = _count_sample_X(monkeypatch)
+        assert cli.main(["scan", "--families", "wigner", "--dims", str(self.D),
+                         "--replicates", str(self.REPLICATES)]) == 0
+        assert len(calls) == self.BLOCKS
+
+    def test_equivalence_report(self, monkeypatch):
+        calls = _count_sample_X(monkeypatch)
+        equivalence_report(gen_wigner(self.D), self.REPLICATES, 0)
+        assert len(calls) == self.BLOCKS
 
 
 def _documented_k(n):
