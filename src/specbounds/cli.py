@@ -164,10 +164,11 @@ def _int_at_least(low: int):
 
 
 def _finite_float(positive: bool = False):
+    # A finite number > 0 if positive, else a finite number >= 0.
     def number(text: str) -> float:
         value = float(text)
-        if not np.isfinite(value) or (positive and value <= 0):
-            kind = "a finite number > 0" if positive else "a finite number"
+        if not np.isfinite(value) or value < 0 or (positive and value == 0):
+            kind = "a finite number > 0" if positive else "a finite number >= 0"
             raise argparse.ArgumentTypeError(f"expected {kind}, got {text}")
         return value
     return number

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .profile import StdDevProfile
@@ -159,6 +161,7 @@ def make_family(name: str, params: dict) -> StdDevProfile:
         d = _take_int(p, "d")
         if d % 2 != 0:
             raise ValueError(f"kronecker_flip needs even d, got {d}")
+        _check_dim(d)
         profile = gen_kronecker_flip(random_psd_nonneg(d // 2, _take_seed(p, name)))
     elif name == "sparse_random":
         profile = gen_sparse_random(
@@ -207,3 +210,18 @@ def _take_seed(params: dict, family: str) -> int:
 def _check_dim(d: int) -> None:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    # The profile, its square, and one X block with its gather: about four
+    # d x d float64 arrays, refused before any of them is allocated.
+    need = 4 * 8 * d * d
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ValueError(f"out of memory: d={d} needs about {_binary_size(need)}, "
+                         f"more than the {_binary_size(physical)} of physical memory")
+
+
+def _binary_size(n: int) -> str:
+    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
+        if n < 1024:
+            return f"{n:.1f} {unit}"
+        n /= 1024
+    return f"{n:.1f} PiB"

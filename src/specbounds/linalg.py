@@ -121,10 +121,15 @@ def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]
 
 
 def _as_symmetric(a: np.ndarray, stack: bool = False) -> np.ndarray:
-    # stack=True also accepts a (k, d, d) stack of matrices.
+    # stack=True also accepts a (k, d, d) stack of matrices.  On finite
+    # input the test accepts exactly what np.allclose(a, a.T, rtol=0, atol)
+    # does, in one pass; NaN and infinities never reach LAPACK.
     a = np.asarray(a, dtype=np.float64)
     if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.swapaxes(-1, -2), rtol=0, atol=1e-12 * (1.0 + np.abs(a).max())):
+    scale = np.abs(a).max()
+    if not np.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    if np.abs(a - a.swapaxes(-1, -2)).max() > 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
     return a

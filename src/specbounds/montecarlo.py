@@ -19,6 +19,14 @@ read by every quantity asked for, and est_norm, est_rowmax and
 est_entrymax are est_x with one quantity.  gdot and ymax have tags of
 their own, so the two terms of the Theorem 4.1 bound are independent.
 
+Block rule for the norm: X_ij = 0 wherever b_ij = 0, so X is
+block-diagonal over the connected components of the profile's support
+(profile.support_blocks), and ||X|| is the largest eigensolve norm among
+its diagonal blocks.  A connected profile is solved whole, as one d x d
+eigensolve; a diagonal one as d 1 x 1 blocks, which return |X_ii|
+exactly.  On a profile with several components of size >= 2 the block
+eigensolves may differ from a whole-matrix eigensolve in the last bits.
+
 est_norm, est_rowmax, est_entrymax and est_gdot accept a ``workers``
 keyword, which does not change results.  Standard normals come from
 numpy's Generator (ziggurat transform); the transform is fixed within a
@@ -35,7 +43,7 @@ import numpy as np
 from .bounds import equiv_expression
 from .geometry import _check_vector
 from .linalg import SpectralSplit, spectral_norm
-from .profile import StdDevProfile, sigma
+from .profile import StdDevProfile, sigma, support_blocks
 
 __all__ = [
     "RandomStream",
@@ -43,6 +51,7 @@ __all__ = [
     "block_size",
     "sample_X",
     "x_stacks",
+    "block_norms",
     "est_x",
     "est_norm",
     "est_rowmax",
@@ -162,11 +171,12 @@ def est_x(
     unknown = [q for q in quantities if q not in X_QUANTITIES]
     if unknown:
         raise ValueError(f"not an X quantity: {unknown[0]!r}")
+    blocks = support_blocks(p) if "norm" in quantities else None
     values = {q: [] for q in quantities}
     for x in x_stacks(p, replicates, seed):
-        for quantity, blocks in values.items():
-            blocks.append(_x_values(quantity, x))
-    return {q: _reduce(blocks, replicates, seed, q) for q, blocks in values.items()}
+        for quantity, stacks in values.items():
+            stacks.append(_x_values(quantity, x, blocks))
+    return {q: _reduce(stacks, replicates, seed, q) for q, stacks in values.items()}
 
 
 def est_norm(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
@@ -184,11 +194,27 @@ def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1)
     return est_x(p, replicates, seed, ("entrymax",))["entrymax"]
 
 
-def _x_values(quantity: str, x: np.ndarray) -> np.ndarray:
-    # One value per matrix of the (k, d, d) stack x.  spectral_norm is looked
-    # up at call time, so a wrapper installed on this module sees every call.
+def block_norms(x: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """||X|| for each matrix of the (k, d, d) stack x of a profile whose
+    support_blocks are ``blocks``: the largest norm among its diagonal
+    blocks, with one stacked eigensolve per block size."""
+    # spectral_norm is looked up at call time, so a wrapper installed on
+    # this module sees every eigensolve.
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        return spectral_norm(x)  # connected: the block is x itself
+    k = x.shape[0]
+    norms = np.zeros(k)
+    for idx in blocks:
+        m, s = idx.shape
+        sub = x[:, idx[:, :, None], idx[:, None, :]].reshape(k * m, s, s)
+        np.maximum(norms, spectral_norm(sub).reshape(k, m).max(axis=1), out=norms)
+    return norms
+
+
+def _x_values(quantity: str, x: np.ndarray, blocks) -> np.ndarray:
+    # One value per matrix of the (k, d, d) stack x.
     if quantity == "norm":
-        return spectral_norm(x)
+        return block_norms(x, blocks)
     if quantity == "rowmax":
         return np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
     return np.max(np.abs(x), axis=(1, 2))

@@ -22,6 +22,7 @@ __all__ = [
     "sigma",
     "max_entry",
     "rearrange",
+    "support_blocks",
     "gamma_star",
     "row_l4_max_term",
 ]
@@ -150,6 +151,38 @@ def rearrange(p: StdDevProfile) -> RearrangedProfile:
     perm = _rearrangement_perm(row_max)
     bstar = p.b[np.ix_(perm, perm)]
     return RearrangedProfile(base=p, perm=perm, bstar=bstar)
+
+
+def support_blocks(p: StdDevProfile) -> list[np.ndarray]:
+    """Connected components of the support graph {(i, j) : b_ij != 0},
+    grouped by size.
+
+    X_ij = 0 wherever b_ij = 0, so X is block-diagonal over these
+    components.  Returns one (m, s) index array per component size s, in
+    increasing s: each row holds one component's indices in increasing
+    order, and rows are ordered by their smallest index.  A row with no
+    off-diagonal support, a zero row included, is a component of size 1.
+    """
+    linked = p.b != 0
+    np.fill_diagonal(linked, False)
+    # Each index is labelled with the smallest index of its component.
+    root = np.arange(p.d)
+    seen = ~linked.any(axis=1)
+    while not seen.all():
+        start = int(np.argmin(seen))
+        frontier = np.array([start])
+        while frontier.size:
+            seen[frontier] = True
+            root[frontier] = start
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+    # Sorted by root, component n fills order[first[n] : first[n] + sizes[n]];
+    # the stable sort keeps its indices in increasing order.
+    order = np.argsort(root, kind="stable")
+    counts = np.bincount(root)
+    sizes = counts[counts > 0]
+    first = np.cumsum(sizes) - sizes
+    return [order[first[sizes == s, None] + np.arange(s)]
+            for s in np.flatnonzero(np.bincount(sizes))]
 
 
 def _log_weights(d: int, offset: int) -> np.ndarray:

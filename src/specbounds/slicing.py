@@ -17,8 +17,8 @@ import numpy as np
 
 from .bounds import bvhrect_bound
 from .linalg import operator_norm
-from .montecarlo import _ratio, x_stacks
-from .profile import StdDevProfile, rearrange
+from .montecarlo import _ratio, block_norms, x_stacks
+from .profile import StdDevProfile, rearrange, support_blocks
 
 __all__ = [
     "SliceDecomposition",
@@ -97,28 +97,31 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
 
     and reports the extreme observed ratios of ||Xlow||^2 against both the
     sum and the max of the slice norms (both ratios are 1 by convention
-    when everything vanishes).
+    when everything vanishes).  ||X|| comes from montecarlo.block_norms,
+    once per stack; the triangular and slice norms are singular values.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     decomposition = slice_bands(p.d)
     pstar = StdDevProfile(d=p.d, b=rearrange(p).bstar)
+    blocks = support_blocks(pstar)
     holds = True
     max_ratio_sum = -math.inf
     ratio_slice_min, ratio_slice_max = math.inf, -math.inf
-    for x in (x for stack in x_stacks(pstar, replicates, seed) for x in stack):
+    for x, full in (pair for stack in x_stacks(pstar, replicates, seed)
+                    for pair in zip(stack, block_norms(stack, blocks))):
         xlow = lower_tri(x)
         xup = upper_tri(x)
         slice_norms_sq = [
             operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in decomposition.bands
         ]
-        low_sq = operator_norm(xlow) ** 2
+        low = operator_norm(xlow)
+        low_sq = low ** 2
         total = sum(slice_norms_sq)
         biggest = max(slice_norms_sq)
         if low_sq > total + 1e-9 * (1.0 + total):
             holds = False
-        full = operator_norm(x)
-        split_sum = operator_norm(xup) + operator_norm(xlow)
+        split_sum = operator_norm(xup) + low
         if full > split_sum + 1e-9 * (1.0 + split_sum):
             holds = False
         max_ratio_sum = max(max_ratio_sum, _ratio(low_sq, total))

@@ -153,6 +153,14 @@ class TestMcCommand:
         )
         assert "out of memory" in line and "PiB" in line
 
+    @pytest.mark.parametrize("spec", ["diagonal_unit:d=100000000",
+                                      "kronecker_flip:d=100000000,seed=1"])
+    def test_dimension_beyond_physical_memory_is_refused_first(self, capsys, spec):
+        # Refused from d alone, before any d x d (or d/2 x d/2) array exists.
+        line = _assert_input_error(capsys, ["mc", "--family", spec, "--quantity", "norm"])
+        assert line.startswith("error: out of memory: d=100000000 needs about")
+        assert "PiB" in line and "of physical memory" in line
+
 
 class TestVerifyCommand:
     def test_basic_check_passes(self, capsys):
@@ -194,10 +202,11 @@ class TestVerifyCommand:
         )
         assert status == 0 and report["passed"]
 
-    def test_impossible_tolerance_fails_with_exit_2(self, capsys):
+    def test_failing_trials_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.geometry, "basic_gap", lambda *args: -1.0)
         status, report = _run_json(
             capsys,
-            ["verify", "--check", "basic", "--trials", "50", "--tol", "-1"],
+            ["verify", "--check", "basic", "--trials", "50"],
         )
         assert status == 2
         assert report["passed"] is False
@@ -207,6 +216,19 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("check", ["basic", "comparison", "split"])
     def test_zero_trials_is_input_error(self, capsys, check):
         _assert_input_error(capsys, ["verify", "--check", check, "--trials", "0"])
+
+    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--tol=-1"], ["--tol=-1e-300"]])
+    def test_negative_tolerance_is_usage_error(self, capsys, flag):
+        # a negative tolerance would fail every trial, a vacuous failure
+        line = _assert_input_error(capsys, ["verify", "--check", "basic", "--trials", "5", *flag])
+        value = flag[-1].removeprefix("--tol=")
+        assert line == f"error: argument --tol: expected a finite number >= 0, got {value}"
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        status, report = _run_json(
+            capsys, ["verify", "--check", "split", "--trials", "5", "--tol", "0"]
+        )
+        assert status == 0 and report["tol"] == 0.0
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_is_usage_error(self, capsys, tol):

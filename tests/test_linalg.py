@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specbounds import linalg
 from specbounds.generators import random_psd_nonneg, random_symmetric
 from specbounds.linalg import (
     operator_norm,
@@ -148,3 +153,66 @@ class TestOperatorNorm:
         for seed in range(10):
             a = random_symmetric(9, seed=seed)
             assert operator_norm(a) == pytest.approx(spectral_norm(a), rel=1e-10)
+
+
+def _allclose_rule(a):
+    # The symmetry rule before the one-pass check.  On NaN input its atol is
+    # NaN, which numpy rejects with a RuntimeWarning before answering False.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        atol = 1e-12 * (1.0 + np.abs(a).max())
+        return np.allclose(a, a.swapaxes(-1, -2), rtol=0, atol=atol)
+
+
+def _accepted(a):
+    try:
+        linalg._as_symmetric(a, stack=True)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def near_symmetric_stacks(draw):
+    """Finite (k, d, d) stacks, d <= 8: exactly symmetric, then one
+    off-diagonal entry moved by a multiple of the tolerance near 1, and
+    sometimes a NaN entry."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 8))
+    entries = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+    a = np.array(draw(st.lists(entries, min_size=k * d * d, max_size=k * d * d)))
+    a = a.reshape(k, d, d)
+    a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)
+    if d > 1 and draw(st.booleans()):
+        atol = 1e-12 * (1.0 + np.abs(a).max())
+        factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]) | st.floats(0, 3))
+        m, i = draw(st.integers(0, k - 1)), draw(st.integers(0, d - 2))
+        j = draw(st.integers(i + 1, d - 1))
+        a[m, i, j] = a[m, j, i] + draw(st.sampled_from([-1.0, 1.0])) * factor * atol
+    if draw(st.integers(0, 4)) == 0:
+        a[tuple(draw(st.integers(0, n - 1)) for n in a.shape)] = np.nan
+    return a
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(near_symmetric_stacks())
+    def test_same_verdict_as_allclose(self, a):
+        assert _accepted(a) == _allclose_rule(a)
+        for matrix in a:
+            assert _accepted(matrix) == _allclose_rule(matrix)
+
+    @pytest.mark.parametrize("a", [
+        [[0.0, np.inf], [1.0, 0.0]],  # within an infinite tolerance
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+    ])
+    def test_non_finite_rejected_before_lapack(self, monkeypatch, a):
+        def lapack(*args):
+            raise AssertionError("non-finite input reached the eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        monkeypatch.setattr(np.linalg, "eigh", lapack)
+        for fn in (spectral_norm, sym_eig, psd_split):
+            with pytest.raises(ValueError, match="finite"):
+                fn(np.array(a))

@@ -11,6 +11,7 @@ from specbounds.generators import (
     gen_diagonal_unit,
     gen_wigner,
     make_family,
+    parse_family_spec,
     random_profile,
 )
 from specbounds.geometry import simplex_sup
@@ -21,6 +22,7 @@ from specbounds.montecarlo import (
     YMAX_TAG,
     McEstimate,
     RandomStream,
+    block_norms,
     block_size,
     equivalence_report,
     est_distance_sq,
@@ -33,7 +35,7 @@ from specbounds.montecarlo import (
     sample_X,
     x_stacks,
 )
-from specbounds.profile import StdDevProfile
+from specbounds.profile import StdDevProfile, support_blocks
 
 ZERO4 = StdDevProfile(4, np.zeros((4, 4)))
 
@@ -478,3 +480,115 @@ class TestDiagonalOracle:
         oracle = _diagonal_norm_oracle(np.diag(p.b))
         est = est_gdot(p, 200, 8)
         assert abs(est.mean - oracle) <= 5.0 * est.stderr
+
+
+def _record_spectral_norm_shapes(monkeypatch):
+    shapes = []
+    original = montecarlo.spectral_norm
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(montecarlo, "spectral_norm", counting)
+    return shapes
+
+
+class TestBlockNorms:
+    SEED = 606
+
+    def test_block_diagonal_profile_matches_full_eigensolve(self, block_diagonal_profile):
+        p = block_diagonal_profile
+        n = p.d * (p.d + 1) // 2
+        replicates = 2 * _documented_k(n) + 3
+        xs = _documented_rows(
+            lambda block, k: sample_X(p, RandomStream(self.SEED, X_TAG, block), k),
+            n, replicates,
+        )
+        _assert_matches(est_norm(p, replicates, self.SEED), [spectral_norm(x) for x in xs])
+
+    def test_one_eigensolve_per_block_size(self, monkeypatch, block_diagonal_profile):
+        p = block_diagonal_profile
+        x = sample_X(p, RandomStream(self.SEED, X_TAG, 0), 4)
+        shapes = _record_spectral_norm_shapes(monkeypatch)
+        block_norms(x, support_blocks(p))
+        assert shapes == [(8, 1, 1), (4, 2, 2), (4, 3, 3)]
+
+    def test_connected_profile_solves_the_stack_itself(self, monkeypatch):
+        p = gen_wigner(6)
+        x = sample_X(p, RandomStream(self.SEED, X_TAG, 0), 3)
+        seen = []
+        monkeypatch.setattr(montecarlo, "spectral_norm", lambda a: seen.append(a) or 0.0)
+        block_norms(x, support_blocks(p))
+        assert len(seen) == 1 and seen[0] is x
+
+    def test_diagonal_decay_256_needs_no_full_eigensolve(self, monkeypatch):
+        p = gen_diagonal_decay(256)
+        shapes = _record_spectral_norm_shapes(monkeypatch)
+        est = est_x(p, 30, self.SEED)
+        assert shapes and all(shape[1:] == (1, 1) for shape in shapes)
+        # 1 x 1 eigensolves return |X_ii| exactly
+        assert est["norm"].to_dict() == {**est["entrymax"].to_dict(), "quantity": "norm"}
+
+
+def _two_by_two_norm_oracle(p, intervals=2000):
+    """E||X|| for d = 2.  ||X|| = |u| + sqrt(v^2 + w^2) with u, v = (x11 +-
+    x22)/2 and w = x12; v and w are independent, and the length of a
+    centred Gaussian vector with variances (s_v^2, s_w^2) has mean
+    sqrt(pi/2) (1/2 pi) int_0^2pi sqrt(s_v^2 cos^2 + s_w^2 sin^2) dtheta.
+    Composite Simpson over the period."""
+    (b11, b12), (_, b22) = p.b
+    s_u = s_v = math.hypot(b11, b22) / 2.0
+    h = 2.0 * math.pi / intervals
+
+    def radius(theta):
+        return math.sqrt((s_v * math.cos(theta)) ** 2 + (b12 * math.sin(theta)) ** 2)
+
+    weights = [1.0] + [4.0 if k % 2 else 2.0 for k in range(1, intervals)] + [1.0]
+    mean_radius = h / 3.0 * sum(wk * radius(k * h) for k, wk in enumerate(weights))
+    return s_u * math.sqrt(2.0 / math.pi) + math.sqrt(math.pi / 2.0) * mean_radius / (2.0 * math.pi)
+
+
+def _entrymax_oracle(p):
+    """E max |X_ij| over the independent entries i >= j: the
+    max-of-half-normals integral of _diagonal_norm_oracle over b_ij, i >= j."""
+    return _diagonal_norm_oracle(p.b[np.tril_indices(p.d)])
+
+
+class TestExactOracles:
+    # Seeds and replicate counts were fixed before the first run.
+    SEED = 606
+
+    def test_two_by_two_oracle_closed_forms(self):
+        # diagonal: max(|g1|, |g2|); off-diagonal only: |x12| = half-normal
+        assert _two_by_two_norm_oracle(gen_diagonal_unit(2)) == pytest.approx(
+            _diagonal_norm_oracle([1.0, 1.0]), rel=1e-10)
+        flip = StdDevProfile(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert _two_by_two_norm_oracle(flip) == pytest.approx(math.sqrt(2.0 / math.pi),
+                                                              rel=1e-10)
+
+    @pytest.mark.parametrize("spec", ["wigner:d=2", "bandeira:delta=0.25"])
+    def test_norm_on_d2(self, spec):
+        p = parse_family_spec(spec)
+        est = est_norm(p, 20000, self.SEED)
+        assert abs(est.mean - _two_by_two_norm_oracle(p)) <= 5.0 * est.stderr
+
+    def test_entrymax_oracle_matches_diagonal_oracle(self):
+        p = gen_diagonal_decay(16)
+        assert _entrymax_oracle(p) == _diagonal_norm_oracle(np.diag(p.b))
+
+    @pytest.mark.parametrize("spec", ["band:d=128,w=5",
+                                      "sparse_random:d=64,density=0.3,seed=2"])
+    def test_entrymax(self, spec):
+        p = parse_family_spec(spec)
+        est = est_entrymax(p, 2000, self.SEED)
+        assert abs(est.mean - _entrymax_oracle(p)) <= 5.0 * est.stderr
+
+    def test_entrymax_and_norm_on_several_components(self):
+        # 7 isolated indices beside one component of 57: the norm takes the
+        # block path in the same pass that reads entrymax
+        p = parse_family_spec("sparse_random:d=64,density=0.03,seed=2")
+        assert [b.shape for b in support_blocks(p)] == [(7, 1), (1, 57)]
+        est = est_x(p, 2000, self.SEED)
+        assert abs(est["entrymax"].mean - _entrymax_oracle(p)) <= 5.0 * est["entrymax"].stderr
+        assert est["norm"].mean >= est["rowmax"].mean >= est["entrymax"].mean

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from specbounds.generators import gen_diagonal_unit, gen_wigner, random_profile
+from specbounds.generators import (
+    gen_diagonal_unit,
+    gen_wigner,
+    parse_family_spec,
+    random_profile,
+)
 from specbounds.profile import (
     StdDevProfile,
     gamma_star,
@@ -12,6 +17,7 @@ from specbounds.profile import (
     rearrange,
     row_l4_max_term,
     sigma,
+    support_blocks,
 )
 
 
@@ -180,3 +186,58 @@ class TestDigest:
     def test_digest_is_stable_and_content_keyed(self):
         assert gen_wigner(4).digest() == gen_wigner(4).digest()
         assert gen_wigner(4).digest() != gen_diagonal_unit(4).digest()
+
+
+class TestSupportBlocks:
+    @pytest.mark.parametrize("spec", [
+        "wigner:d=9", "band:d=40,w=2", "band:d=40,w=5",
+        # B' kron [[0, 1], [1, 0]]: bipartite support, still connected
+        "kronecker_flip:d=12,seed=3",
+    ])
+    def test_connected_profiles_are_one_block(self, spec):
+        p = parse_family_spec(spec)
+        blocks = support_blocks(p)
+        assert len(blocks) == 1
+        np.testing.assert_array_equal(blocks[0], [np.arange(p.d)])
+
+    @pytest.mark.parametrize("spec", ["diagonal_unit:d=5", "diagonal_decay:d=256"])
+    def test_diagonal_profiles_are_singletons(self, spec):
+        p = parse_family_spec(spec)
+        blocks = support_blocks(p)
+        assert len(blocks) == 1
+        np.testing.assert_array_equal(blocks[0], np.arange(p.d)[:, None])
+
+    def test_block_diagonal_with_zero_row(self, block_diagonal_profile):
+        blocks = support_blocks(block_diagonal_profile)
+        assert [b.tolist() for b in blocks] == [[[2], [4]], [[1, 6]], [[0, 3, 5]]]
+
+    def test_permuted_chain_is_one_block(self):
+        # a path 0 - 5 - 2 - 7 - 1 with the other indices isolated; the
+        # breadth-first search must follow it across several frontiers
+        b = np.zeros((8, 8))
+        path = [0, 5, 2, 7, 1]
+        for i, j in zip(path, path[1:]):
+            b[i, j] = b[j, i] = 1.0
+        blocks = support_blocks(StdDevProfile(8, b))
+        assert [b.tolist() for b in blocks] == [[[3], [4], [6]], [[0, 1, 2, 5, 7]]]
+
+    def test_zero_profile_is_all_singletons(self):
+        blocks = support_blocks(StdDevProfile(3, np.zeros((3, 3))))
+        assert [b.tolist() for b in blocks] == [[[0], [1], [2]]]
+
+    def test_blocks_partition_the_indices(self):
+        for seed in range(20):
+            p = random_profile(12, seed=seed, density=0.15)
+            blocks = support_blocks(p)
+            members = np.sort(np.concatenate([b.ravel() for b in blocks]))
+            np.testing.assert_array_equal(members, np.arange(12))
+            # no support between different components
+            label = np.empty(12, dtype=int)
+            for n, idx in enumerate(row for b in blocks for row in b):
+                label[idx] = n
+            i, j = np.nonzero(p.b)
+            assert np.all(label[i] == label[j])
+            # and each component is connected: (I + A)^s reaches every pair
+            for idx in (row for b in blocks for row in b):
+                step = np.eye(len(idx)) + (p.b[np.ix_(idx, idx)] != 0)
+                assert np.all(np.linalg.matrix_power(step, len(idx)) > 0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specbounds import montecarlo, slicing
 from specbounds.bounds import bvhrect_bound
 from specbounds.generators import (
     gen_band,
@@ -157,6 +158,24 @@ class TestVerifySliceInequality:
     def test_bad_replicates(self):
         with pytest.raises(ValueError):
             verify_slice_inequality(gen_wigner(4), 0, 0)
+
+    def test_holds_on_block_diagonal_profile(self, block_diagonal_profile):
+        assert verify_slice_inequality(block_diagonal_profile, 50, 4)["holds"]
+
+    def test_full_norm_from_block_eigensolves(self, monkeypatch):
+        # ||X|| of a diagonal X: one stacked 1 x 1 eigensolve per stack and
+        # no singular values of the full matrix; Xlow and Xup keep theirs
+        replicates = 5
+        eig_shapes, svd_shapes = [], []
+        for module, name, shapes in ((montecarlo, "spectral_norm", eig_shapes),
+                                     (slicing, "operator_norm", svd_shapes)):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, f=original, s=shapes:
+                                s.append(np.shape(a)) or f(a))
+        outcome = verify_slice_inequality(gen_diagonal_decay(256), replicates, 7)
+        assert outcome["holds"]
+        assert eig_shapes == [(256, 1, 1)] * replicates
+        assert svd_shapes.count((256, 256)) == 2 * replicates
 
 
 class TestSummary:
