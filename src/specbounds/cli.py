@@ -120,7 +120,8 @@ def main(argv=None) -> int:
         }[args.command]
         report, status = handler(args)
         if isinstance(report, dict):
-            report["wall_time_s"] = time.perf_counter() - started
+            report = {"schema": SCHEMA_VERSION, "command": args.command, **report,
+                      "wall_time_s": time.perf_counter() - started}
             # allow_nan=False: a non-finite number is an error, never
             # invalid JSON on stdout
             text = json.dumps(report, indent=2, allow_nan=False)
@@ -175,15 +176,18 @@ def _finite_float(positive: bool = False):
 
 
 def _load(args) -> tuple[StdDevProfile, dict]:
+    # The profile and its report block: d, digest and where it came from.
     if args.family is not None:
-        return parse_family_spec(args.family), {"family": args.family}
-    fmt = args.format or ("json" if args.input.suffix == ".json" else "csv")
-    profile = load_profile(args.input.read_text(), format=fmt)
-    return profile, {"file": str(args.input)}
+        profile, source = parse_family_spec(args.family), {"family": args.family}
+    else:
+        fmt = args.format or ("json" if args.input.suffix == ".json" else "csv")
+        profile = load_profile(args.input.read_text(), format=fmt)
+        source = {"file": str(args.input)}
+    return profile, {"d": profile.d, "digest": profile.digest(), **source}
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
-    profile, source = _load(args)
+    profile, block = _load(args)
     report = bounds.compute_bound_report(
         profile,
         c=args.c,
@@ -191,17 +195,11 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         replicates=args.replicates,
         seed=args.seed,
     )
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "bounds",
-        "profile": {"d": profile.d, "digest": profile.digest(), **source},
-        "report": report.to_dict(),
-        "seed": args.seed,
-    }, EXIT_OK
+    return {"profile": block, "report": report.to_dict(), "seed": args.seed}, EXIT_OK
 
 
 def _cmd_mc(args) -> tuple[dict, int]:
-    profile, source = _load(args)
+    profile, block = _load(args)
     quantities = montecarlo.PROFILE_QUANTITIES if args.quantity == "all" else [args.quantity]
     x_quantities = [q for q in quantities if q in montecarlo.X_QUANTITIES]
     estimates = (montecarlo.est_x(profile, args.replicates, args.seed, x_quantities)
@@ -212,9 +210,7 @@ def _cmd_mc(args) -> tuple[dict, int]:
         split = psd_split(profile.variance_matrix)
         estimates["ymax"] = montecarlo.est_ymax(split, args.replicates, args.seed)
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "mc",
-        "profile": {"d": profile.d, "digest": profile.digest(), **source},
+        "profile": block,
         "estimates": {q: estimates[q].to_dict() for q in quantities},
         "replicates": args.replicates,
         "seed": args.seed,
@@ -245,33 +241,23 @@ def _cmd_scan(args) -> tuple[dict, int]:
             spec = f"{name},d={d}" if ":" in name else f"{name}:d={d}"
             profile = parse_family_spec(spec)
             rows.append(_scan_row(profile, spec, args))
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "scan",
-        "rows": rows,
-        "replicates": args.replicates,
-        "seed": args.seed,
-    }, EXIT_OK
+    return {"rows": rows, "replicates": args.replicates, "seed": args.seed}, EXIT_OK
 
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
     report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
     x = montecarlo.est_x(profile, args.replicates, args.seed)
-    norm, rowmax, entrymax = x["norm"], x["rowmax"], x["entrymax"]
+    norm, rowmax = x["norm"], x["rowmax"]
     equiv_value = report.values["equiv_expression"]
+    fields = report.to_dict()
     return {
         "family": spec,
         "d": profile.d,
         "digest": profile.digest(),
-        "bounds": report.to_dict()["bounds"],
-        "constants": report.to_dict()["constants"],
-        "estimates": {
-            "norm": norm.to_dict(),
-            "rowmax": rowmax.to_dict(),
-            "entrymax": entrymax.to_dict(),
-            "gdot": report.mc["gdot"],
-            "ymax": report.mc["ymax"],
-        },
+        "bounds": fields["bounds"],
+        "constants": fields["constants"],
+        "estimates": {**{q: e.to_dict() for q, e in x.items()},
+                      "gdot": report.mc["gdot"], "ymax": report.mc["ymax"]},
         "conjecture_ratio": norm.mean / equiv_value if equiv_value else 1.0,
         "norm_over_rowmax": norm.mean / rowmax.mean if rowmax.mean else 1.0,
     }
@@ -289,8 +275,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
     }[args.check]
     failures, details = check(args)
     report = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
         "check": args.check,
         "trials": args.trials,
         "seed": args.seed,

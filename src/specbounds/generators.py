@@ -74,11 +74,11 @@ def gen_bandeira(delta: float) -> StdDevProfile:
     return StdDevProfile(d=2, b=b)
 
 
-def gen_kronecker_flip(bprime: np.ndarray, psd_tol: float = 1e-10) -> StdDevProfile:
+def gen_kronecker_flip(bprime: np.ndarray) -> StdDevProfile:
     """Profile whose variance matrix is B' kron [[0,1],[1,0]].
 
     B' must be symmetric with nonnegative entries and positive semidefinite;
-    PSD is checked numerically (eigenvalues >= -psd_tol * ||B'||).
+    PSD is checked numerically (eigenvalues >= -1e-10 * ||B'||).
     """
     bp = np.asarray(bprime, dtype=np.float64)
     if bp.ndim != 2 or bp.shape[0] != bp.shape[1]:
@@ -88,7 +88,7 @@ def gen_kronecker_flip(bprime: np.ndarray, psd_tol: float = 1e-10) -> StdDevProf
     if np.any(bp < 0):
         raise ValueError("B' must have nonnegative entries")
     eigs = np.linalg.eigvalsh(bp)
-    if eigs.min() < -psd_tol * np.max(np.abs(eigs), initial=0.0):
+    if eigs.min() < -1e-10 * np.max(np.abs(eigs), initial=0.0):
         raise ValueError(
             f"B' is not positive semidefinite (min eigenvalue {eigs.min():.3e})"
         )

@@ -125,11 +125,12 @@ def bandeira_ratio(a: float, b: float, delta: float) -> float:
     the denominator |a sqrt(delta a^2 + b^2) - b sqrt(delta b^2 + a^2)|.
     The ratio grows like 1/sqrt(delta) * 2ab/(a^2+b^2) as delta -> 0.
     """
-    if a <= 0 or b <= 0:
+    # Written so that NaN and infinity fail each test too.
+    if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("a and b must be positive")
     if a == b:
         raise ValueError("a == b makes both distances vanish")
-    if delta <= 0:
+    if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive, got {delta}")
     numerator = math.sqrt(delta) * abs(a * a - b * b)
     denominator = abs(

@@ -36,7 +36,7 @@ build but not promised across numpy versions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,20 +98,14 @@ class RandomStream:
 class McEstimate:
     """Monte Carlo mean with its standard error (sample std / sqrt(R))."""
 
+    quantity: str
     mean: float
     stderr: float
     replicates: int
     seed: int
-    quantity: str
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "replicates": self.replicates,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def block_size(n: int) -> int:
@@ -317,7 +311,7 @@ def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise ValueError(f"non-finite {quantity} estimate (mean={mean}, stderr={stderr})")
     return McEstimate(
-        mean=mean, stderr=stderr, replicates=replicates, seed=seed, quantity=quantity
+        quantity=quantity, mean=mean, stderr=stderr, replicates=replicates, seed=seed
     )
 
 

@@ -40,7 +40,7 @@ class StdDevProfile:
     b: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
+        b = np.array(self.b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"profile must be square, got shape {b.shape}")
         if b.shape[0] < 1:
@@ -53,7 +53,6 @@ class StdDevProfile:
             raise ValueError("profile must be exactly symmetric")
         if self.d != b.shape[0]:
             raise ValueError(f"declared d={self.d} does not match shape {b.shape}")
-        b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
 
@@ -73,10 +72,9 @@ class RearrangedProfile:
     row maxima are nonincreasing.
 
     perm[k] is the 0-based original index of the row placed at position k;
-    bstar[i][j] = base.b[perm[i]][perm[j]].
+    bstar[i][j] = b[perm[i]][perm[j]] for the original profile b.
     """
 
-    base: StdDevProfile
     perm: np.ndarray
     bstar: np.ndarray
 
@@ -134,12 +132,6 @@ def max_entry(p: StdDevProfile) -> float:
     return float(np.max(p.b))
 
 
-def _rearrangement_perm(keys: np.ndarray) -> np.ndarray:
-    # Descending by key; ties broken by ascending original index (stable sort
-    # on the negated keys).
-    return np.argsort(-keys, kind="stable")
-
-
 def rearrange(p: StdDevProfile) -> RearrangedProfile:
     """Permute rows and columns together so row maxima are nonincreasing.
 
@@ -147,10 +139,9 @@ def rearrange(p: StdDevProfile) -> RearrangedProfile:
     the permutation is determined by sorting the original row maxima in
     descending order, ties broken by ascending original row index.
     """
-    row_max = np.max(p.b, axis=1)
-    perm = _rearrangement_perm(row_max)
-    bstar = p.b[np.ix_(perm, perm)]
-    return RearrangedProfile(base=p, perm=perm, bstar=bstar)
+    # A stable sort on the negated maxima breaks ties by ascending index.
+    perm = np.argsort(-np.max(p.b, axis=1), kind="stable")
+    return RearrangedProfile(perm=perm, bstar=p.b[np.ix_(perm, perm)])
 
 
 def support_blocks(p: StdDevProfile) -> list[np.ndarray]:

@@ -61,13 +61,10 @@ def slice_bands(d: int) -> SliceDecomposition:
 
 def decompose(p: StdDevProfile) -> SliceDecomposition:
     """Full decomposition of the rearranged profile into band slices."""
-    skeleton = slice_bands(p.d)
-    bstar = rearrange(p).bstar
-    low = lower_tri(bstar)
-    profiles = tuple(low[lo - 1 : hi, :] for lo, hi in skeleton.bands)
-    return SliceDecomposition(
-        n_slices=skeleton.n_slices, bands=skeleton.bands, slice_profiles=profiles
-    )
+    bands = slice_bands(p.d).bands
+    low = lower_tri(rearrange(p).bstar)
+    profiles = tuple(low[lo - 1 : hi, :] for lo, hi in bands)
+    return SliceDecomposition(n_slices=len(bands), bands=bands, slice_profiles=profiles)
 
 
 def lower_tri(x: np.ndarray) -> np.ndarray:
@@ -102,37 +99,28 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    decomposition = slice_bands(p.d)
+    bands = slice_bands(p.d).bands
     pstar = StdDevProfile(d=p.d, b=rearrange(p).bstar)
     blocks = support_blocks(pstar)
-    holds = True
-    max_ratio_sum = -math.inf
-    ratio_slice_min, ratio_slice_max = math.inf, -math.inf
+    # One (holds, sum ratio, slice ratio) row per replicate.
+    rows = []
     for x, full in (pair for stack in x_stacks(pstar, replicates, seed)
                     for pair in zip(stack, block_norms(stack, blocks))):
         xlow = lower_tri(x)
-        xup = upper_tri(x)
-        slice_norms_sq = [
-            operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in decomposition.bands
-        ]
+        slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
         low = operator_norm(xlow)
         low_sq = low ** 2
         total = sum(slice_norms_sq)
-        biggest = max(slice_norms_sq)
-        if low_sq > total + 1e-9 * (1.0 + total):
-            holds = False
-        split_sum = operator_norm(xup) + low
-        if full > split_sum + 1e-9 * (1.0 + split_sum):
-            holds = False
-        max_ratio_sum = max(max_ratio_sum, _ratio(low_sq, total))
-        ratio_slice = _ratio(low_sq, biggest)
-        ratio_slice_min = min(ratio_slice_min, ratio_slice)
-        ratio_slice_max = max(ratio_slice_max, ratio_slice)
+        split_sum = operator_norm(upper_tri(x)) + low
+        fails = (low_sq > total + 1e-9 * (1.0 + total)
+                 or full > split_sum + 1e-9 * (1.0 + split_sum))
+        rows.append((not fails, _ratio(low_sq, total), _ratio(low_sq, max(slice_norms_sq))))
+    holds, ratio_sum, ratio_slice = zip(*rows)
     return {
-        "holds": holds,
-        "max_ratio": max_ratio_sum,
-        "ratio_slice_min": ratio_slice_min,
-        "ratio_slice_max": ratio_slice_max,
+        "holds": all(holds),
+        "max_ratio": max(ratio_sum),
+        "ratio_slice_min": min(ratio_slice),
+        "ratio_slice_max": max(ratio_slice),
         "replicates": replicates,
         "seed": seed,
     }
@@ -145,7 +133,7 @@ def decomposition_summary(p: StdDevProfile) -> dict:
     slices = [
         {
             "rows": [lo, hi],
-            "effective_shape": list(t.shape) if t.size else [0, 0],
+            "effective_shape": list(t.shape),
             "bvhrect": value,
         }
         for (lo, hi), t, value in zip(decomposition.bands, trimmed, values)
@@ -161,7 +149,7 @@ def decomposition_summary(p: StdDevProfile) -> dict:
 def _slice_bounds(decomposition: SliceDecomposition) -> tuple[list, list, float]:
     # Trimmed slices, their bvhrect values (0 if empty) and 2 sqrt(N) max_n bvhrect.
     trimmed = [_trim_vanishing(profile) for profile in decomposition.slice_profiles]
-    values = [bvhrect_bound(t) if t.size else 0.0 for t in trimmed]
+    values = [bvhrect_bound(t) for t in trimmed]
     return trimmed, values, 2.0 * math.sqrt(decomposition.n_slices) * max(values)
 
 

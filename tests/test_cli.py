@@ -202,16 +202,29 @@ class TestVerifyCommand:
         )
         assert status == 0 and report["passed"]
 
-    def test_failing_trials_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.geometry, "basic_gap", lambda *args: -1.0)
+    @pytest.mark.parametrize("check, module, name, fake, keys", [
+        ("basic", "geometry", "basic_gap", lambda *args: -1.0, {"trial", "d", "gamma", "gap"}),
+        ("comparison", "geometry", "comparison_dist_sq", lambda *args: -1.0,
+         {"trial", "d", "gamma", "comparison", "natural"}),
+        ("split", "linalg", "split_invariant_violations", lambda *args: ["faked"],
+         {"trial", "d", "problems"}),
+        ("slice", "slicing", "verify_slice_inequality", lambda *args: {"holds": False},
+         {"family", "outcome"}),
+        ("equiv", "montecarlo", "equivalence_report",
+         lambda *args: {"ratios": {"norm": {"rowmax": 100.0}}}, {"family", "pair", "ratio"}),
+    ], ids=["basic", "comparison", "split", "slice", "equiv"])
+    def test_failing_trials_exit_2(self, capsys, monkeypatch, check, module, name, fake, keys):
+        monkeypatch.setattr(getattr(cli, module), name, fake)
         status, report = _run_json(
             capsys,
-            ["verify", "--check", "basic", "--trials", "50"],
+            ["verify", "--check", check, "--trials", "50"],
         )
         assert status == 2
         assert report["passed"] is False
         assert report["failures"]
-        assert {"trial", "d", "gamma", "gap"} <= set(report["failures"][0])
+        assert keys <= set(report["failures"][0])
+        if check in ("basic", "comparison", "split"):
+            assert len(report["failures"]) == 20  # the cap
 
     @pytest.mark.parametrize("check", ["basic", "comparison", "split"])
     def test_zero_trials_is_input_error(self, capsys, check):
@@ -285,6 +298,35 @@ class TestBallCommand:
 
     def test_wrong_dimension_is_input_error(self, capsys):
         assert main(["ball", "--family", "wigner:d=3"]) == 1
+
+    def test_memory_error_is_input_error(self, capsys, monkeypatch):
+        # raised in place of the allocation, so nothing is allocated
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 8.00 PiB for an array")
+        monkeypatch.setattr(cli.geometry, "ball_boundary_2d", refuse)
+        line = _assert_input_error(capsys, ["ball", "--family", "wigner:d=2"])
+        assert line == "error: out of memory: Unable to allocate 8.00 PiB for an array"
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family", "wigner:d=4", "--replicates", "10"],
+        ["mc", "--family", "wigner:d=4", "--quantity", "norm", "--replicates", "10"],
+        ["verify", "--check", "split", "--trials", "2"],
+        ["scan", "--families", "wigner", "--dims", "4", "--replicates", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_schema_and_command_first_wall_time_last(self, capsys, argv):
+        status, report = _run_json(capsys, argv)
+        keys = list(report)
+        assert status == 0
+        assert keys[:2] == ["schema", "command"] and keys[-1] == "wall_time_s"
+        assert report["schema"] == cli.SCHEMA_VERSION and report["command"] == argv[0]
+
+    def test_ball_prints_plain_csv(self, capsys):
+        status, out = _run(capsys, ["ball", "--family", "wigner:d=2", "--points", "4"])
+        assert status == 0
+        assert out.startswith("theta,x1,x2\n")
+        assert "schema" not in out and "wall_time_s" not in out
 
 
 class TestScanCommand:

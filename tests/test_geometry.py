@@ -242,9 +242,13 @@ class TestBandeiraRatio:
         with pytest.raises(ValueError):
             bandeira_ratio(1.0, 1.0, 0.1)
 
-    def test_bad_delta(self):
+    @pytest.mark.parametrize("args", [(1.0, 2.0, 0.0), (1.0, 2.0, math.nan),
+                                      (1.0, 2.0, math.inf), (math.nan, 2.0, 0.5),
+                                      (1.0, math.inf, 0.5)],
+                             ids=["zero", "nan_delta", "inf_delta", "nan_a", "inf_b"])
+    def test_bad_delta(self, args):
         with pytest.raises(ValueError):
-            bandeira_ratio(1.0, 2.0, 0.0)
+            bandeira_ratio(*args)
 
 
 class TestViolationScan:

@@ -177,6 +177,24 @@ class TestVerifySliceInequality:
         assert eig_shapes == [(256, 1, 1)] * replicates
         assert svd_shapes.count((256, 256)) == 2 * replicates
 
+    @staticmethod
+    def _assert_fails_with_finite_ratios(outcome):
+        assert outcome["holds"] is False
+        ratios = [outcome[k] for k in ("max_ratio", "ratio_slice_min", "ratio_slice_max")]
+        assert all(math.isfinite(r) for r in ratios)
+
+    def test_fails_when_low_norm_exceeds_slice_sum(self, monkeypatch):
+        # At d = 16 the slices are 4 x 16 and 12 x 16, while Xlow and Xup are
+        # square: faked slice norms of 1 (nonzero) and triangular norms of 10
+        # give ||Xlow||^2 = 100 > 2 = sum_n ||X^(n)||^2.
+        monkeypatch.setattr(slicing, "operator_norm",
+                            lambda a: 10.0 if a.shape[0] == a.shape[1] else 1.0)
+        self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
+
+    def test_fails_when_full_norm_exceeds_split_sum(self, monkeypatch):
+        monkeypatch.setattr(slicing, "block_norms", lambda stack, blocks: np.full(len(stack), 1e6))
+        self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
+
 
 class TestSummary:
     def test_structure(self):
