@@ -127,6 +127,8 @@ def main(argv=None) -> int:
             text = json.dumps(report, indent=2, allow_nan=False)
         else:
             text = report
+        if getattr(args, "out", None):
+            args.out.write_text(text if text.endswith("\n") else text + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -135,8 +137,6 @@ def main(argv=None) -> int:
         # for an array with shape (2000000, 2000000) ..."
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "out", None):
-        args.out.write_text(text if text.endswith("\n") else text + "\n")
     print(text)
     return status
 

@@ -211,8 +211,9 @@ def _check_dim(d: int) -> None:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     # The profile, its square, and one X block with its gather: about four
-    # d x d float64 arrays, refused before any of them is allocated.
-    need = 4 * 8 * d * d
+    # d x d float64 arrays, refused before any of them is allocated.  The
+    # size is a float so that even d = 1e308 is refused with a message.
+    need = 4 * 8.0 * d * d
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         raise ValueError(f"out of memory: d={d} needs about {_binary_size(need)}, "

@@ -9,7 +9,6 @@ that scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .linalg import SpectralSplit
 from .profile import StdDevProfile
 
 __all__ = [
-    "DeformedPoint",
     "deform",
     "simplex_sup",
     "natural_dist_sq",
@@ -34,20 +32,11 @@ __all__ = [
 BALL_CSV_HEADER = "theta,x1,x2"
 
 
-@dataclass(frozen=True)
-class DeformedPoint:
-    """A vector v with its image x under the deformation x_i = v_i ||v||_i,
-    where ||v||_i^2 = sum_j b_ij^2 v_j^2."""
-
-    v: np.ndarray
-    x: np.ndarray
-
-
-def deform(p: StdDevProfile, v: np.ndarray) -> DeformedPoint:
-    """Apply the deformation map x_i(v) = v_i * sqrt(sum_j b_ij^2 v_j^2)."""
+def deform(p: StdDevProfile, v: np.ndarray) -> np.ndarray:
+    """The image x(v) of the deformation map,
+    x_i(v) = v_i * sqrt(sum_j b_ij^2 v_j^2)."""
     v = _check_vector(v, p.d)
-    row_norms = np.sqrt(p.variance_matrix @ (v * v))
-    return DeformedPoint(v=v, x=v * row_norms)
+    return _image(p.variance_matrix, v)
 
 
 def simplex_sup(p: StdDevProfile, g: np.ndarray) -> float:
@@ -63,21 +52,15 @@ def natural_dist_sq(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
         sum_ij (v_i+w_i)^2 b_ij^2 (v_j-w_j)^2
         + sum_{i != j} (v_i^2-w_i^2) b_ij^2 (v_j^2-w_j^2).
     """
-    v = _check_vector(v, p.d)
-    w = _check_vector(w, p.d)
-    b2 = p.variance_matrix
-    a = (v + w) ** 2
-    c = (v - w) ** 2
-    s = v * v - w * w
-    return float(a @ b2 @ c + s @ b2 @ s - np.diag(b2) @ (s * s))
+    v, w = _check_vector(v, p.d), _check_vector(w, p.d)
+    return _natural_dist_sq(p.variance_matrix, v, w)[0]
 
 
 def quad_form_sq_diff(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
     """Quadratic form of B at the vector (v_i^2 - w_i^2); may be negative."""
-    v = _check_vector(v, p.d)
-    w = _check_vector(w, p.d)
+    v, w = _check_vector(v, p.d), _check_vector(w, p.d)
     s = v * v - w * w
-    return _qform(p.variance_matrix, s)
+    return float(s @ p.variance_matrix @ s)
 
 
 def basic_gap(p: StdDevProfile, v: np.ndarray, w: np.ndarray, gamma: float) -> float:
@@ -89,8 +72,10 @@ def basic_gap(p: StdDevProfile, v: np.ndarray, w: np.ndarray, gamma: float) -> f
     returned as RHS - LHS; nonnegative up to 1e-9-scaled rounding.
     """
     _check_gamma(gamma)
-    rhs = (2.0 + gamma + 1.0 / gamma) * _deformed_dist_sq(p, v, w) - gamma * quad_form_sq_diff(p, v, w)
-    return rhs - natural_dist_sq(p, v, w)
+    v, w = _check_vector(v, p.d), _check_vector(w, p.d)
+    b2 = p.variance_matrix
+    dist_sq, quad = _natural_dist_sq(b2, v, w)
+    return (2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w) - gamma * quad - dist_sq
 
 
 def comparison_dist_sq(
@@ -109,12 +94,10 @@ def comparison_dist_sq(
     the Slepian-Fernique step.
     """
     _check_gamma(gamma)
-    v = _check_vector(v, p.d)
-    w = _check_vector(w, p.d)
+    v, w = _check_vector(v, p.d), _check_vector(w, p.d)
     s = v * v - w * w
-    return (2.0 + gamma + 1.0 / gamma) * _deformed_dist_sq(p, v, w) + gamma * _qform(
-        split.bminus, s
-    )
+    return ((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(p.variance_matrix, v, w)
+            + gamma * float(s @ split.bminus @ s))
 
 
 def bandeira_ratio(a: float, b: float, delta: float) -> float:
@@ -150,13 +133,14 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    b2 = p.variance_matrix
     violations = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         v = _unit(rng.standard_normal(p.d))
         w = _unit(rng.standard_normal(p.d))
-        dist = math.sqrt(max(natural_dist_sq(p, v, w), 0.0))
-        xdist = 2.0 * math.sqrt(_deformed_dist_sq(p, v, w))
+        dist = math.sqrt(max(_natural_dist_sq(b2, v, w)[0], 0.0))
+        xdist = 2.0 * math.sqrt(_image_dist_sq(b2, v, w))
         if dist > xdist + 1e-12 * (1.0 + dist + xdist):
             violations += 1
     return violations / trials
@@ -169,10 +153,11 @@ def ball_boundary_2d(p: StdDevProfile, n_points: int) -> np.ndarray:
         raise ValueError(f"boundary tracing needs d = 2, got d = {p.d}")
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
+    b2 = p.variance_matrix
     thetas = 2.0 * np.pi * np.arange(n_points) / n_points
     rows = np.empty((n_points, 3))
     for k, theta in enumerate(thetas):
-        x = deform(p, np.array([np.cos(theta), np.sin(theta)])).x
+        x = _image(b2, np.array([np.cos(theta), np.sin(theta)]))
         rows[k] = (theta, x[0], x[1])
     return rows
 
@@ -185,13 +170,23 @@ def ball_boundary_csv(rows: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _deformed_dist_sq(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
-    dx = deform(p, v).x - deform(p, w).x
+# The kernels below take the variance matrix B and vectors that are already
+# checked, so a public call checks and squares once, and a scan once per run.
+
+def _image(b2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return v * np.sqrt(b2 @ (v * v))
+
+
+def _image_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+    dx = _image(b2, v) - _image(b2, w)
     return float(dx @ dx)
 
 
-def _qform(m: np.ndarray, s: np.ndarray) -> float:
-    return float(s @ m @ s)
+def _natural_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    # d(v, w)^2 and the term s^T B s (s = v^2 - w^2) that it contains
+    s = v * v - w * w
+    quad = s @ b2 @ s
+    return float((v + w) ** 2 @ b2 @ (v - w) ** 2 + quad - np.diag(b2) @ (s * s)), float(quad)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

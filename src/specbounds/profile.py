@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,19 @@ class StdDevProfile:
             raise ValueError(f"profile must be square, got shape {b.shape}")
         if b.shape[0] < 1:
             raise ValueError("profile dimension must be >= 1")
-        if not np.all(np.isfinite(b)):
+        low, high = float(b.min()), float(b.max())  # NaN reaches both
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("profile entries must be finite")
-        if np.any(b < 0):
+        if low < 0:
             raise ValueError("profile entries must be nonnegative")
+        # A finite sum_ij b_ij^4 keeps ||B||_F, X^2, the norms and every bound
+        # finite.  It is summed only when d^2 max_ij b_ij^4 might overflow.
+        if high > (sys.float_info.max / (2 * b.size)) ** 0.25:
+            with np.errstate(over="ignore"):
+                fourth = np.sum(b ** 4)
+            if not np.isfinite(fourth):
+                raise ValueError(f"profile entries are too large: sum_ij b_ij^4 overflows "
+                                 f"float64 (largest entry {high:.6g})")
         if not np.array_equal(b, b.T):
             raise ValueError("profile must be exactly symmetric")
         if self.d != b.shape[0]:
@@ -101,12 +111,15 @@ def load_profile(source: str, format: str = "csv") -> StdDevProfile:
             raise ValueError("CSV payload is not a square matrix")
         b = np.array(rows, dtype=np.float64)
     elif format == "json":
-        payload = json.loads(source)
+        try:
+            payload = json.loads(source)
+        except RecursionError:
+            raise ValueError("JSON payload is nested too deeply") from None
         if not isinstance(payload, dict) or "b" not in payload:
             raise ValueError("JSON payload must be an object with a 'b' field")
         try:
             b = np.array(payload["b"], dtype=np.float64)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"JSON field 'b' is not a numeric matrix: {exc}") from exc
         if b.ndim != 2:
             raise ValueError("JSON field 'b' is not a matrix")

@@ -115,6 +115,22 @@ class TestBoundsCommand:
         assert status == 0
         assert json.loads(out.read_text())["command"] == "bounds"
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, target):
+        # a missing directory, and a directory in place of a file
+        _assert_input_error(capsys, ["bounds", "--family", "wigner:d=4", "--replicates", "10",
+                                     "--out", str(tmp_path / target)])
+
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text('{"b": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert "nested" in _assert_input_error(capsys, ["bounds", "--input", str(path)])
+
+    def test_oversized_family_entry_is_input_error(self, capsys):
+        # delta = 1e308 puts b_11^4 = 1e616 beyond float64
+        line = _assert_input_error(capsys, ["bounds", "--family", "bandeira:delta=1e308"])
+        assert "profile entries" in line
+
 
 class TestMcCommand:
     def test_zero_profile_all_quantities(self, capsys):
@@ -140,6 +156,13 @@ class TestMcCommand:
         _, serial = _run_json(capsys, base + ["--workers", "1"])
         _, threaded = _run_json(capsys, base + ["--workers", "4"])
         assert json.dumps(serial["estimates"]) == json.dumps(threaded["estimates"])
+
+    def test_oversized_input_entries_are_input_error(self, capsys, tmp_path):
+        # ||B||_F overflows here, which once made ymax read exactly 0.0
+        path = tmp_path / "profile.json"
+        path.write_text('{"b": [[1e154, 1e154], [1e154, 0]]}')
+        line = _assert_input_error(capsys, ["mc", "--input", str(path), "--quantity", "ymax"])
+        assert "profile entries" in line
 
     def test_bad_quantity_is_usage_error(self, capsys):
         assert main(["mc", "--family", "wigner:d=4", "--quantity", "trace"]) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specbounds.generators import (
     FAMILY_NAMES,
@@ -183,6 +185,42 @@ class TestFamilySpecs:
     def test_kronecker_odd_d(self):
         with pytest.raises(ValueError, match="even"):
             parse_family_spec("kronecker_flip:d=7")
+
+
+# Junk has no digits, so no junk token parses as a dimension above 64.
+_JUNK = st.text(alphabet="abdw:=,.-_ e", max_size=5)
+_NUMBERS = st.integers(-1, 64).map(str) | st.sampled_from(["nan", "inf", "-inf", "1e308",
+                                                           "0.5", "0.25"])
+_FAMILY_KEYS = {"wigner": ["d"], "diagonal_unit": ["d"], "diagonal_decay": ["d"],
+                "band": ["d", "w"], "bandeira": ["delta"], "kronecker_flip": ["d", "seed"],
+                "sparse_random": ["d", "density", "seed"]}
+
+
+@st.composite
+def family_specs(draw):
+    """name:key=value,... over the family names, the known keys (often
+    exactly the family's own) and numeric values, with junk in any part."""
+    name = draw(st.sampled_from(FAMILY_NAMES) | _JUNK)
+    if name in _FAMILY_KEYS and draw(st.booleans()):
+        keys = _FAMILY_KEYS[name]
+    else:
+        keys = draw(st.lists(st.sampled_from(["d", "w", "delta", "density", "seed"]) | _JUNK,
+                             max_size=3))
+    items = [f"{key}={draw(_NUMBERS | _NUMBERS | _JUNK)}" for key in keys]
+    items += draw(st.lists(_JUNK, max_size=1))
+    return name + draw(st.sampled_from([":", ":", "", "::"])) + ",".join(items)
+
+
+class TestFamilySpecProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(family_specs())
+    @example("wigner:d=1e308")  # once an OverflowError in the RAM guard's message
+    def test_profile_or_value_error(self, spec):
+        try:
+            profile = parse_family_spec(spec)
+        except ValueError:
+            return
+        assert isinstance(profile, StdDevProfile) and profile.d <= 64
 
 
 class TestStressHelpers:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from specbounds import geometry
+from specbounds.cli import basic_corpus
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_unit,
@@ -45,22 +47,22 @@ class TestDeform:
         p = gen_wigner(5)
         v = np.random.default_rng(0).standard_normal(5)
         v /= np.linalg.norm(v)
-        np.testing.assert_allclose(deform(p, v).x, v, rtol=1e-12)
+        np.testing.assert_allclose(deform(p, v), v, rtol=1e-12)
 
     def test_identity_profile_squares_coordinates(self):
         point = deform(gen_diagonal_unit(2), np.array([0.6, 0.8]))
-        np.testing.assert_allclose(point.x, [0.36, 0.64], rtol=1e-12)
-        assert np.sum(np.abs(point.x)) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(point, [0.36, 0.64], rtol=1e-12)
+        assert np.sum(np.abs(point)) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(deform(gen_wigner(3), np.zeros(3)).x, np.zeros(3))
+        np.testing.assert_array_equal(deform(gen_wigner(3), np.zeros(3)), np.zeros(3))
 
     def test_norm_identity(self):
         # ||x(v)||^2 = sum_ij v_i^2 b_ij^2 v_j^2 to 1e-12 relative
         for seed in range(15):
             p = random_profile(8, seed=seed)
             v = np.random.default_rng(seed).standard_normal(8)
-            x = deform(p, v).x
+            x = deform(p, v)
             lhs = float(x @ x)
             vsq = v * v
             rhs = float(vsq @ (p.b ** 2) @ vsq)
@@ -69,7 +71,7 @@ class TestDeform:
     def test_odd(self):
         p = random_profile(6, seed=3)
         v = np.random.default_rng(4).standard_normal(6)
-        np.testing.assert_allclose(deform(p, -v).x, -deform(p, v).x, rtol=1e-14)
+        np.testing.assert_allclose(deform(p, -v), -deform(p, v), rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -185,7 +187,7 @@ class TestComparisonDistSq:
         split = psd_split(p.variance_matrix)
         rng = np.random.default_rng(10)
         v, w = rng.standard_normal(5), rng.standard_normal(5)
-        dx = deform(p, v).x - deform(p, w).x
+        dx = deform(p, v) - deform(p, w)
         assert comparison_dist_sq(p, split, v, w, 1.0) == pytest.approx(
             4.0 * float(dx @ dx), rel=1e-10
         )
@@ -211,7 +213,7 @@ class TestOptimizedGapCalibration:
             v /= np.linalg.norm(v)
             w = rng.standard_normal(d)
             w /= np.linalg.norm(w)
-            dx = deform(p, v).x - deform(p, w).x
+            dx = deform(p, v) - deform(p, w)
             xdist_sq = float(dx @ dx)
             q = quad_form_sq_diff(p, v, w)
             optimized = min(
@@ -304,3 +306,107 @@ class TestBallBoundary:
         assert lines[0] == BALL_CSV_HEADER
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "0.0"
+
+
+# The formulas as written before the geometry calls shared private kernels,
+# kept as the reference for exact (==) equality.
+def _ref_image(p, v):
+    return v * np.sqrt(p.variance_matrix @ (v * v))
+
+
+def _ref_image_dist_sq(p, v, w):
+    dx = _ref_image(p, v) - _ref_image(p, w)
+    return float(dx @ dx)
+
+
+def _ref_natural(p, v, w):
+    b2 = p.variance_matrix
+    a = (v + w) ** 2
+    c = (v - w) ** 2
+    s = v * v - w * w
+    return float(a @ b2 @ c + s @ b2 @ s - np.diag(b2) @ (s * s))
+
+
+def _ref_quad(p, v, w):
+    s = v * v - w * w
+    return float(s @ p.variance_matrix @ s)
+
+
+def _ref_basic_gap(p, v, w, gamma):
+    rhs = (2.0 + gamma + 1.0 / gamma) * _ref_image_dist_sq(p, v, w) - gamma * _ref_quad(p, v, w)
+    return rhs - _ref_natural(p, v, w)
+
+
+def _ref_comparison(p, split, v, w, gamma):
+    s = v * v - w * w
+    return (2.0 + gamma + 1.0 / gamma) * _ref_image_dist_sq(p, v, w) + gamma * float(
+        s @ split.bminus @ s)
+
+
+def _ref_violation_scan(p, trials, seed):
+    violations = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        v, w = (u / np.linalg.norm(u) for u in (rng.standard_normal(p.d),
+                                                 rng.standard_normal(p.d)))
+        dist = math.sqrt(max(_ref_natural(p, v, w), 0.0))
+        xdist = 2.0 * math.sqrt(_ref_image_dist_sq(p, v, w))
+        if dist > xdist + 1e-12 * (1.0 + dist + xdist):
+            violations += 1
+    return violations / trials
+
+
+def _psd_profile(d, seed):
+    return StdDevProfile(d, np.sqrt(random_psd_nonneg(d, seed)))
+
+
+class TestSharedKernels:
+    def test_bit_identical_to_reference_formulas(self):
+        for p, v, w, gamma in basic_corpus(2000, 1):
+            split = psd_split(p.variance_matrix)
+            assert natural_dist_sq(p, v, w) == _ref_natural(p, v, w)
+            assert quad_form_sq_diff(p, v, w) == _ref_quad(p, v, w)
+            assert basic_gap(p, v, w, gamma) == _ref_basic_gap(p, v, w, gamma)
+            assert comparison_dist_sq(p, split, v, w, gamma) == _ref_comparison(
+                p, split, v, w, gamma)
+            assert np.array_equal(deform(p, v), _ref_image(p, v))
+        for seed in (1, 2):
+            p = _psd_profile(32, seed)
+            assert violation_scan(p, 2000, seed) == _ref_violation_scan(p, 2000, seed)
+        p = gen_bandeira(0.125)
+        thetas = 2.0 * np.pi * np.arange(512) / 512
+        rows = [(t, *_ref_image(p, np.array([np.cos(t), np.sin(t)]))) for t in thetas]
+        assert ball_boundary_csv(ball_boundary_2d(p, 512)) == ball_boundary_csv(np.array(rows))
+
+    def test_each_call_checks_and_squares_once(self, monkeypatch):
+        p = random_profile(6, seed=3)
+        split = psd_split(p.variance_matrix)
+        scan_profile = _psd_profile(8, 4)
+        v, w = np.random.default_rng(5).standard_normal((2, 6))
+        counts = {"check": 0, "square": 0}
+        check, square = geometry._check_vector, StdDevProfile.variance_matrix.fget
+
+        def counting_check(*args):
+            counts["check"] += 1
+            return check(*args)
+
+        def counting_square(self):
+            counts["square"] += 1
+            return square(self)
+
+        monkeypatch.setattr(geometry, "_check_vector", counting_check)
+        monkeypatch.setattr(StdDevProfile, "variance_matrix", property(counting_square))
+
+        def counted(call):
+            counts.update(check=0, square=0)
+            call()
+            return counts["check"], counts["square"]
+
+        assert counted(lambda: basic_gap(p, v, w, 1.0)) == (2, 1)
+        assert counted(lambda: comparison_dist_sq(p, split, v, w, 1.0)) == (2, 1)
+        assert counted(lambda: natural_dist_sq(p, v, w)) == (2, 1)
+        assert counted(lambda: quad_form_sq_diff(p, v, w)) == (2, 1)
+        assert counted(lambda: deform(p, v)) == (1, 1)
+        for trials in (1, 50):
+            assert counted(lambda: violation_scan(scan_profile, trials, 0)) == (0, 1)
+        assert counted(lambda: ball_boundary_2d(gen_bandeira(0.5), 16)) == (0, 1)

@@ -592,3 +592,23 @@ class TestExactOracles:
         est = est_x(p, 2000, self.SEED)
         assert abs(est["entrymax"].mean - _entrymax_oracle(p)) <= 5.0 * est["entrymax"].stderr
         assert est["norm"].mean >= est["rowmax"].mean >= est["entrymax"].mean
+
+    @pytest.mark.parametrize("d", [16, 200])
+    def test_gdot_on_wigner(self, d):
+        # every row of B is all ones, so max_i sqrt(sum_j g_j^2) = ||g||, a chi
+        # variable with mean sqrt(2) Gamma((d+1)/2) / Gamma(d/2)
+        exact = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2) - math.lgamma(d / 2))
+        est = est_gdot(gen_wigner(d), 4000, self.SEED)
+        assert abs(est.mean - exact) <= 5.0 * est.stderr
+
+    @pytest.mark.parametrize("spec", ["bandeira:delta=0.25", "kronecker_flip:d=2,seed=1"])
+    def test_ymax_when_bminus_has_rank_one(self, spec):
+        # B^- = L L^T with one column L, so Y = L g and max_i L_i g equals
+        # g max L for g > 0 and |g| (-min L) for g < 0: E = (max L - min L) E g+
+        variance = parse_family_spec(spec).variance_matrix
+        eigenvalues, eigenvectors = np.linalg.eigh(variance)
+        assert np.count_nonzero(eigenvalues < 0) == 1
+        factor = math.sqrt(-eigenvalues[0]) * eigenvectors[:, 0]
+        exact = (factor.max() - factor.min()) / math.sqrt(2.0 * math.pi)
+        est = est_ymax(psd_split(variance), 20000, self.SEED)
+        assert abs(est.mean - exact) <= 5.0 * est.stderr

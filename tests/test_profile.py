@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbounds.generators import (
     gen_diagonal_unit,
@@ -60,9 +63,73 @@ class TestLoadProfile:
         with pytest.raises(ValueError, match="'b'"):
             load_profile(bad, format="json")
 
+    def test_integer_beyond_float64_rejected(self):
+        with pytest.raises(ValueError, match="not a numeric matrix"):
+            load_profile('{"b": [[%d]]}' % 10 ** 400, format="json")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             load_profile("1", format="tsv")
+
+
+_TOKENS = st.sampled_from(["0", "1", "0.5", "2", "-1", "nan", "NaN", "inf", "Infinity",
+                           "-Infinity", "1e200", "abc", "", " "])
+# JSON values: numbers (NaN and Infinity literals, an integer beyond
+# float64), strings, null, booleans, and lists of them nested to any depth.
+_LEAVES = (st.integers(-1, 3) | st.sampled_from([0.5, math.nan, math.inf, -math.inf, 10 ** 400])
+           | st.text(max_size=3) | st.none() | st.booleans())
+_NESTED = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=20)
+
+
+@st.composite
+def symmetric_rows(draw, entries):
+    """A symmetric d x d matrix, d <= 4, mostly of valid entries."""
+    d = draw(st.integers(1, 4))
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return rows
+
+
+@st.composite
+def csv_payloads(draw):
+    """Symmetric matrices and ragged or empty rows of numeric and junk tokens."""
+    rows = draw(symmetric_rows(st.sampled_from(["0", "1", "0.5"]) | _TOKENS)
+                | st.lists(st.lists(_TOKENS, max_size=4), max_size=4))
+    return "\n".join(",".join(row) for row in rows)
+
+
+@st.composite
+def json_payloads(draw):
+    """Objects with a symmetric 'b', a nested 'b' or no 'b', an optional
+    'd', and a bare 'b' or broken text in place of an object."""
+    b = draw(symmetric_rows(st.sampled_from([0, 1, 0.5]) | _LEAVES) | _NESTED)
+    fields = {"b": b} if draw(st.integers(0, 3)) else {}
+    if draw(st.booleans()):
+        fields["d"] = draw(_LEAVES)
+    text = json.dumps(fields)
+    return draw(st.sampled_from([text, text, text, json.dumps(b), "", "{", "[1, 2"]))
+
+
+def _profile_or_value_error(source, format):
+    try:
+        profile = load_profile(source, format=format)
+    except ValueError:
+        return
+    assert isinstance(profile, StdDevProfile)
+
+
+class TestLoadProfileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_payloads())
+    def test_csv(self, source):
+        _profile_or_value_error(source, "csv")
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_payloads())
+    def test_json(self, source):
+        _profile_or_value_error(source, "json")
 
 
 class TestValidation:
@@ -74,6 +141,17 @@ class TestValidation:
         p = gen_wigner(3)
         with pytest.raises(ValueError):
             p.b[0, 0] = 2.0
+
+    @pytest.mark.parametrize("b", [[[1e154, 1e154], [1e154, 0.0]], [[1e77, 1e77], [1e77, 0.0]],
+                                   [[1e200]]])
+    def test_fourth_power_sum_overflow_rejected(self, b):
+        with pytest.raises(ValueError, match="profile entries are too large"):
+            StdDevProfile(d=len(b), b=np.array(b))
+
+    def test_largest_finite_fourth_power_sum_accepted(self):
+        # 1e77^4 = 1e308 is still finite, though above the d^2 max^4 screen
+        p = StdDevProfile(d=2, b=np.array([[1e77, 0.0], [0.0, 0.0]]))
+        assert p.b[0, 0] == 1e77
 
     def test_d_zero_rejected(self):
         with pytest.raises(ValueError):
