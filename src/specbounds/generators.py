@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -123,12 +124,22 @@ def random_psd_nonneg(d: int, seed: int) -> np.ndarray:
 def random_profile(d: int, seed: int, density: float = 1.0) -> StdDevProfile:
     """Stress profile with |N(0,1)| entries and optional Bernoulli support,
     symmetric by mirroring the upper triangle.  Pure in (d, seed, density)."""
+    _check_dim(d)
     rng = np.random.default_rng([seed, d])
     b = np.abs(rng.standard_normal((d, d)))
     if density < 1.0:
         b *= rng.random((d, d)) < density
-    b = np.triu(b) + np.triu(b, 1).T
-    return StdDevProfile(d=d, b=b)
+    # Finite, nonnegative and exactly symmetric by construction, so the
+    # profile skips the checks that StdDevProfile(d, b) would repeat.
+    return StdDevProfile._trusted(np.where(_upper_mask(d), b, b.T))
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_mask(d: int) -> np.ndarray:
+    # True on and above the diagonal; read-only because it is shared.
+    mask = np.triu(np.ones((d, d), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def random_symmetric(d: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -216,7 +227,9 @@ def _check_dim(d: int) -> None:
     need = 4 * 8.0 * d * d
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
-        raise ValueError(f"out of memory: d={d} needs about {_binary_size(need)}, "
+        # A d past 15 digits is shown as 1e+308, not in 309 digits.
+        shown = d if d < 10**15 else f"{d:g}"
+        raise ValueError(f"out of memory: d={shown} needs about {_binary_size(need)}, "
                          f"more than the {_binary_size(physical)} of physical memory")
 
 
@@ -225,4 +238,4 @@ def _binary_size(n: int) -> str:
         if n < 1024:
             return f"{n:.1f} {unit}"
         n /= 1024
-    return f"{n:.1f} PiB"
+    return f"{n:.1f} PiB" if n < 1024 else f"{n:.4g} PiB"

@@ -31,6 +31,10 @@ __all__ = [
 
 BALL_CSV_HEADER = "theta,x1,x2"
 
+# Trials that violation_scan evaluates in one stacked pass; its arrays hold
+# this many rows of length d, whatever the trial count.
+_SCAN_CHUNK = 2048
+
 
 def deform(p: StdDevProfile, v: np.ndarray) -> np.ndarray:
     """The image x(v) of the deformation map,
@@ -135,14 +139,14 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
         raise ValueError(f"trials must be >= 1, got {trials}")
     b2 = p.variance_matrix
     violations = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        v = _unit(rng.standard_normal(p.d))
-        w = _unit(rng.standard_normal(p.d))
-        dist = math.sqrt(max(_natural_dist_sq(b2, v, w)[0], 0.0))
-        xdist = 2.0 * math.sqrt(_image_dist_sq(b2, v, w))
-        if dist > xdist + 1e-12 * (1.0 + dist + xdist):
-            violations += 1
+    for start in range(0, trials, _SCAN_CHUNK):
+        # Row k holds trial start + k's (v, w): the two vectors its stream
+        # draws one after the other.
+        pairs = np.empty((min(_SCAN_CHUNK, trials - start), 2, p.d))
+        for k, row in enumerate(pairs):
+            np.random.default_rng([seed, start + k]).standard_normal(out=row)
+        pairs = _unit_rows(pairs)
+        violations += _count_violations(b2, pairs[:, 0], pairs[:, 1])
     return violations / trials
 
 
@@ -189,12 +193,32 @@ def _natural_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[floa
     return float((v + w) ** 2 @ b2 @ (v - w) ** 2 + quad - np.diag(b2) @ (s * s)), float(quad)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.ones_like(v)
-        norm = np.linalg.norm(v)
-    return v / norm
+def _count_violations(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> int:
+    # violation_scan's test on stacked pairs, one trial per row of v and w:
+    # the same formulas as _natural_dist_sq and _image_dist_sq (B is
+    # symmetric, so rows times B are the per-trial B times vectors).
+    vv, ww = v * v, w * w
+    s = vv - ww
+    dist_sq = (_row_dots((v + w) ** 2 @ b2, (v - w) ** 2) + _row_dots(s @ b2, s)
+               - (s * s) @ np.diag(b2))
+    dx = v * np.sqrt(vv @ b2) - w * np.sqrt(ww @ b2)
+    dist = np.sqrt(np.maximum(dist_sq, 0.0))
+    xdist = 2.0 * np.sqrt(_row_dots(dx, dx))
+    return int(np.count_nonzero(dist > xdist + 1e-12 * (1.0 + dist + xdist)))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    # Each row of x (its last axis) scaled to unit length; a zero row
+    # becomes the unit vector along (1, ..., 1).
+    norm = np.sqrt(_row_dots(x, x))
+    if not norm.all():
+        x = np.where((norm == 0.0)[..., None], 1.0, x)
+        norm = np.sqrt(_row_dots(x, x))
+    return x / norm[..., None]
 
 
 def _check_vector(v: np.ndarray, d: int) -> np.ndarray:

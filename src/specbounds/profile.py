@@ -66,6 +66,17 @@ class StdDevProfile:
         b.flags.writeable = False
         object.__setattr__(self, "b", b)
 
+    @classmethod
+    def _trusted(cls, b: np.ndarray) -> StdDevProfile:
+        # For float64 arrays that are square, finite, nonnegative, exactly
+        # symmetric and small enough by construction: skips __post_init__'s
+        # checks and copy, and takes ownership of b.
+        profile = object.__new__(cls)
+        b.flags.writeable = False
+        object.__setattr__(profile, "d", b.shape[0])
+        object.__setattr__(profile, "b", b)
+        return profile
+
     @property
     def variance_matrix(self) -> np.ndarray:
         """The matrix B with B_ij = b_ij**2."""

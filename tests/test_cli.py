@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specbounds import cli
 from specbounds.cli import main
@@ -183,6 +187,11 @@ class TestMcCommand:
         line = _assert_input_error(capsys, ["mc", "--family", spec, "--quantity", "norm"])
         assert line.startswith("error: out of memory: d=100000000 needs about")
         assert "PiB" in line and "of physical memory" in line
+
+    def test_dimension_past_float_digits_is_shown_short(self, capsys):
+        line = _assert_input_error(capsys, ["bounds", "--family", "wigner:d=1e308"])
+        assert line.startswith("error: out of memory: d=1e+308 needs about")
+        assert len(line) < 200
 
 
 class TestVerifyCommand:
@@ -403,3 +412,100 @@ class TestScanCommand:
 
     def test_empty_families_is_usage_error(self, capsys):
         assert main(["scan", "--families", "", "--dims", "4"]) == 1
+
+
+# Tokens for the argv property test: numbers kept small enough that every
+# example runs in milliseconds, and junk that is no flag argparse knows.
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "x", "--bogus", ":",
+                         "=", ",", "wigner", "d=3", ""])
+
+
+def _mostly(valid):
+    # One value in eight is junk, so that most examples get past the parser.
+    return st.integers(0, 7).flatmap(lambda k: _JUNK if k == 7 else valid)
+
+
+_COUNTS = _mostly(st.integers(1, 50).map(str))
+_NUMBERS = _mostly(st.sampled_from(["0.5", "1", "2.5", "1e-3", "10", "0", "-0.5"])
+                   | st.integers(-2, 16).map(str))
+_DIMS = _mostly(st.integers(1, 16).map(str))
+
+
+@st.composite
+def family_specs(draw, with_d=True):
+    name = draw(_mostly(st.sampled_from(["wigner", "diagonal_unit", "diagonal_decay", "band",
+                                         "bandeira", "kronecker_flip", "sparse_random"])))
+    keys = {"band": ["d", "w"], "bandeira": ["delta"], "kronecker_flip": ["d", "seed"],
+            "sparse_random": ["d", "density", "seed"]}.get(name, ["d"])
+    values = {"d": _DIMS, "w": _DIMS, "delta": _NUMBERS, "density": _NUMBERS,
+              "seed": _COUNTS}
+    # scan adds d itself
+    params = ",".join(f"{key}={draw(values[key])}" for key in keys if with_d or key != "d")
+    return f"{name}:{params}" if params else name
+
+
+@st.composite
+def cli_argvs(draw):
+    """A real subcommand with its real flags at small values, with junk
+    tokens spliced in anywhere."""
+    command = draw(st.sampled_from(["bounds", "mc", "verify", "ball", "scan"]))
+    flags = {"--seed": _COUNTS}
+    if command in ("bounds", "mc", "ball"):
+        flags["--family"] = family_specs()
+    if command in ("bounds", "mc", "verify", "scan"):
+        flags["--replicates"] = _COUNTS
+    if command in ("bounds", "mc", "scan"):
+        flags["--workers"] = _COUNTS
+    if command == "bounds":
+        flags.update({"--c": _NUMBERS, "--gamma": _NUMBERS})
+    elif command == "mc":
+        flags["--quantity"] = _mostly(st.sampled_from(["norm", "rowmax", "entrymax", "gdot",
+                                                       "ymax", "all"]))
+    elif command == "verify":
+        flags.update({"--check": _mostly(st.sampled_from(["basic", "comparison", "slice",
+                                                          "split", "equiv"])),
+                      "--trials": _COUNTS, "--tol": _NUMBERS, "--family": family_specs()})
+    elif command == "ball":
+        flags["--points"] = _mostly(st.integers(1, 64).map(str))
+    else:
+        flags.update({"--families": st.lists(family_specs(with_d=False), min_size=1,
+                                             max_size=2).map(",".join),
+                      "--dims": st.lists(_DIMS, min_size=1, max_size=2).map(",".join)})
+    # The required flags and those that set the amount of work are always
+    # given; the default --trials, for one, runs 10000 trials.
+    needed = {"--family", "--families", "--dims", "--quantity", "--check", "--replicates",
+              "--trials", "--points"}
+    argv = [command]
+    for flag, values in flags.items():
+        if flag in needed or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_JUNK))
+    return argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+class TestArgvProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argvs())
+    def test_exit_status_and_output_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert status in (0, 1, 2)
+        assert "Traceback" not in err
+        if status == 1:
+            assert out == ""
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        elif argv[0] == "ball":
+            # the CSV ends in a newline, and print adds one more
+            lines = out.rstrip("\n").splitlines()
+            assert lines[0] == "theta,x1,x2" and len(lines) >= 4
+            assert all(math.isfinite(float(field))
+                       for line in lines[1:] for field in line.split(","))
+        else:
+            assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)

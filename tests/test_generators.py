@@ -233,3 +233,32 @@ class TestStressHelpers:
         m = random_psd_nonneg(8, 0)
         assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
         assert np.all(m >= 0)
+
+
+class TestRandomProfileTrustedBuild:
+    def test_same_profile_as_the_checked_mirror(self):
+        # random_profile skips StdDevProfile's checks; the profile must be
+        # the one the checked constructor builds from the old two-triangle
+        # mirror, and pass those checks itself.
+        for d in range(1, 17):
+            for density in (1.0, 0.6, 0.3, 0.0):
+                for seed in range(50):
+                    rng = np.random.default_rng([seed, d])
+                    b = np.abs(rng.standard_normal((d, d)))
+                    if density < 1.0:
+                        b *= rng.random((d, d)) < density
+                    checked = StdDevProfile(d, np.triu(b) + np.triu(b, 1).T)
+                    p = random_profile(d, seed, density)
+                    assert p.d == d and p.b.dtype == np.float64
+                    assert p.b.tobytes() == checked.b.tobytes()
+                    assert StdDevProfile(d, p.b).b.tobytes() == checked.b.tobytes()
+
+    def test_entries_are_read_only(self):
+        p = random_profile(5, seed=2, density=0.6)
+        assert not p.b.flags.writeable
+        with pytest.raises(ValueError):
+            p.b[0, 1] = 3.0
+
+    def test_rejects_a_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension"):
+            random_profile(0, seed=1)

@@ -410,3 +410,42 @@ class TestSharedKernels:
         for trials in (1, 50):
             assert counted(lambda: violation_scan(scan_profile, trials, 0)) == (0, 1)
         assert counted(lambda: ball_boundary_2d(gen_bandeira(0.5), 16)) == (0, 1)
+
+
+class TestStackedViolationScan:
+    # Non-PSD profiles, where some pairs do violate the inequality.
+    PROFILES = {
+        "bandeira:delta=1e-4": gen_bandeira(1e-4),
+        "bandeira:delta=0.125": gen_bandeira(0.125),
+        "random_profile(6, seed=5)": random_profile(6, seed=5),
+        "random_profile(6, seed=6)": random_profile(6, seed=6),
+    }
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_nonzero_count_equals_per_trial_reference(self, name):
+        p = self.PROFILES[name]
+        assert np.linalg.eigvalsh(p.variance_matrix).min() < 0
+        expected = _ref_violation_scan(p, 2000, 7)
+        assert expected > 0.0
+        assert violation_scan(p, 2000, 7) == expected
+
+    def test_one_trial_past_the_chunk(self):
+        # With seed 9 the one trial past the chunk is itself a violation, so
+        # losing or misnumbering it changes the fraction.
+        p = gen_bandeira(0.125)
+        trials = geometry._SCAN_CHUNK + 1
+        rng = np.random.default_rng([9, trials - 1])
+        v, w = (u / np.linalg.norm(u) for u in rng.standard_normal((2, 2)))
+        assert math.sqrt(_ref_natural(p, v, w)) > 2.0 * math.sqrt(_ref_image_dist_sq(p, v, w))
+        assert violation_scan(p, trials, 9) == _ref_violation_scan(p, trials, 9)
+
+    def test_zero_row_becomes_the_normalised_ones_vector(self):
+        x = np.array([[[0.0, 0.0, 0.0], [3.0, 0.0, 4.0]],
+                      [[1.0, 2.0, 2.0], [0.0, 0.0, 0.0]]])
+        units = geometry._unit_rows(x)
+        ones = np.ones(3) / np.linalg.norm(np.ones(3))
+        np.testing.assert_array_equal(units[0, 0], ones)
+        np.testing.assert_array_equal(units[1, 1], ones)
+        np.testing.assert_array_equal(units[0, 1], [0.6, 0.0, 0.8])
+        np.testing.assert_allclose(units[1, 0], np.array([1.0, 2.0, 2.0]) / 3.0, rtol=1e-15)
+        assert np.array_equal(x[0, 0], np.zeros(3))  # the input is left alone
