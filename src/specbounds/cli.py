@@ -124,11 +124,11 @@ def main(argv=None) -> int:
                       "wall_time_s": time.perf_counter() - started}
             # allow_nan=False: a non-finite number is an error, never
             # invalid JSON on stdout
-            text = json.dumps(report, indent=2, allow_nan=False)
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
         else:
-            text = report
+            text = report  # the CSV ends in its own newline
         if getattr(args, "out", None):
-            args.out.write_text(text if text.endswith("\n") else text + "\n")
+            args.out.write_text(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
         # for an array with shape (2000000, 2000000) ..."
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    sys.stdout.write(text)
     return status
 
 
@@ -230,7 +230,7 @@ def _cmd_scan(args) -> tuple[dict, int]:
             families[-1] += "," + token  # sparse_random:density=0.35,seed=9
         elif token:
             families.append(token)
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    dims = [_dim_token(tok) for tok in args.dims.split(",") if tok.strip()]
     if not families or not dims:
         raise ValueError("scan needs at least one family and one dimension")
     rows = []
@@ -242,6 +242,13 @@ def _cmd_scan(args) -> tuple[dict, int]:
             profile = parse_family_spec(spec)
             rows.append(_scan_row(profile, spec, args))
     return {"rows": rows, "replicates": args.replicates, "seed": args.seed}, EXIT_OK
+
+
+def _dim_token(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--dims: expected an integer dimension, got {token.strip()!r}") from None
 
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:

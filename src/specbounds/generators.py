@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import os
+from decimal import Decimal
 
 import numpy as np
 
@@ -223,8 +224,8 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
     # The profile, its square, and one X block with its gather: about four
     # d x d float64 arrays, refused before any of them is allocated.  The
-    # size is a float so that even d = 1e308 is refused with a message.
-    need = 4 * 8.0 * d * d
+    # size is an exact int, so even d = 1e308 is refused with a message.
+    need = 4 * 8 * d * d
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         # A d past 15 digits is shown as 1e+308, not in 309 digits.
@@ -234,6 +235,8 @@ def _check_dim(d: int) -> None:
 
 
 def _binary_size(n: int) -> str:
+    # Decimal, not float: 32 d^2 bytes overflows a float for d past 1e154.
+    n = Decimal(n)
     for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
         if n < 1024:
             return f"{n:.1f} {unit}"

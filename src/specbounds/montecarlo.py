@@ -27,10 +27,8 @@ eigensolve; a diagonal one as d 1 x 1 blocks, which return |X_ii|
 exactly.  On a profile with several components of size >= 2 the block
 eigensolves may differ from a whole-matrix eigensolve in the last bits.
 
-est_norm, est_rowmax, est_entrymax and est_gdot accept a ``workers``
-keyword, which does not change results.  Standard normals come from
-numpy's Generator (ziggurat transform); the transform is fixed within a
-build but not promised across numpy versions.
+Standard normals come from numpy's Generator (ziggurat transform); the
+transform is fixed within a build but not promised across numpy versions.
 """
 
 from __future__ import annotations
@@ -61,13 +59,11 @@ __all__ = [
     "est_distance_sq",
     "equivalence_report",
     "PROFILE_QUANTITIES",
-    "QUANTITY_IDS",
     "X_QUANTITIES",
 ]
 
 # Quantities estimated from a profile alone; distsq also needs v and w.
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
-QUANTITY_IDS = (*PROFILE_QUANTITIES, "distsq")
 # Profile quantities that est_x reduces from the X stacks.
 X_QUANTITIES = ("norm", "rowmax", "entrymax")
 
@@ -173,17 +169,17 @@ def est_x(
     return {q: _reduce(stacks, replicates, seed, q) for q, stacks in values.items()}
 
 
-def est_norm(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
+def est_norm(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E ||X||, the expected spectral norm."""
     return est_x(p, replicates, seed, ("norm",))["norm"]
 
 
-def est_rowmax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
+def est_rowmax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_i sqrt(sum_j X_ij^2), the largest row Euclidean norm."""
     return est_x(p, replicates, seed, ("rowmax",))["rowmax"]
 
 
-def est_entrymax(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
+def est_entrymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_ij |X_ij|."""
     return est_x(p, replicates, seed, ("entrymax",))["entrymax"]
 
@@ -214,7 +210,7 @@ def _x_values(quantity: str, x: np.ndarray, blocks) -> np.ndarray:
     return np.max(np.abs(x), axis=(1, 2))
 
 
-def est_gdot(p: StdDevProfile, replicates: int, seed: int, workers: int = 1) -> McEstimate:
+def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_i sqrt(sum_j b_ij^2 g_j^2) with one shared g per replicate."""
     variance = p.variance_matrix  # symmetric, so (g*g) @ B has rows B (g*g)
     values = (np.sqrt(np.max((g * g) @ variance, axis=1))

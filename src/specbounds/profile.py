@@ -34,7 +34,7 @@ class StdDevProfile:
     """Symmetric d x d matrix of nonnegative standard deviations b_ij.
 
     Immutable after construction; the backing array is marked read-only so
-    instances can be shared across concurrent workers.
+    instances can be shared freely.
     """
 
     d: int

@@ -11,7 +11,6 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,60 +20,30 @@ from .montecarlo import _ratio, block_norms, x_stacks
 from .profile import StdDevProfile, rearrange, support_blocks
 
 __all__ = [
-    "SliceDecomposition",
     "slice_bands",
     "decompose",
-    "lower_tri",
-    "upper_tri",
     "slice_assembled_bound",
     "verify_slice_inequality",
     "decomposition_summary",
 ]
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """Band index ranges (1-based, inclusive) and the per-band rectangular
-    profiles b_ij * [i >= j] of the rearranged profile."""
-
-    n_slices: int
-    bands: tuple
-    slice_profiles: tuple
-
-
-def slice_bands(d: int) -> SliceDecomposition:
-    """Band ranges only; profiles are attached by decompose()."""
+def slice_bands(d: int) -> tuple:
+    """The bands as (lo, hi) row ranges, 1-based and inclusive."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if d <= 4:
-        bands = ((1, d),)
-    else:
-        edges = [(1, 4)]
-        hi = 4
-        while hi < d:
-            nxt = hi * hi  # 2^(2^n) squares at each scale
-            edges.append((hi + 1, min(nxt, d)))
-            hi = nxt
-        bands = tuple(edges)
-    return SliceDecomposition(n_slices=len(bands), bands=bands, slice_profiles=())
+    bands = [(1, min(d, 4))]
+    while bands[-1][1] < d:
+        hi = bands[-1][1]
+        bands.append((hi + 1, min(hi * hi, d)))  # 2^(2^n) squares at each scale
+    return tuple(bands)
 
 
-def decompose(p: StdDevProfile) -> SliceDecomposition:
-    """Full decomposition of the rearranged profile into band slices."""
-    bands = slice_bands(p.d).bands
-    low = lower_tri(rearrange(p).bstar)
-    profiles = tuple(low[lo - 1 : hi, :] for lo, hi in bands)
-    return SliceDecomposition(n_slices=len(bands), bands=bands, slice_profiles=profiles)
-
-
-def lower_tri(x: np.ndarray) -> np.ndarray:
-    """Entrywise mask i >= j (keeps the diagonal)."""
-    return np.tril(np.asarray(x))
-
-
-def upper_tri(x: np.ndarray) -> np.ndarray:
-    """Entrywise mask i < j (strictly above the diagonal)."""
-    return np.triu(np.asarray(x), 1)
+def decompose(p: StdDevProfile) -> tuple:
+    """The band slices b_ij * [i >= j] of the rearranged profile, one per
+    band of slice_bands(p.d)."""
+    low = np.tril(rearrange(p).bstar)
+    return tuple(low[lo - 1 : hi, :] for lo, hi in slice_bands(p.d))
 
 
 def slice_assembled_bound(p: StdDevProfile) -> float:
@@ -99,19 +68,19 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    bands = slice_bands(p.d).bands
+    bands = slice_bands(p.d)
     pstar = StdDevProfile(d=p.d, b=rearrange(p).bstar)
     blocks = support_blocks(pstar)
     # One (holds, sum ratio, slice ratio) row per replicate.
     rows = []
     for x, full in (pair for stack in x_stacks(pstar, replicates, seed)
                     for pair in zip(stack, block_norms(stack, blocks))):
-        xlow = lower_tri(x)
+        xlow = np.tril(x)
         slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
         low = operator_norm(xlow)
         low_sq = low ** 2
         total = sum(slice_norms_sq)
-        split_sum = operator_norm(upper_tri(x)) + low
+        split_sum = operator_norm(np.triu(x, 1)) + low
         fails = (low_sq > total + 1e-9 * (1.0 + total)
                  or full > split_sum + 1e-9 * (1.0 + split_sum))
         rows.append((not fails, _ratio(low_sq, total), _ratio(low_sq, max(slice_norms_sq))))
@@ -128,29 +97,29 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
 
 def decomposition_summary(p: StdDevProfile) -> dict:
     """Bands, per-slice effective dimensions, and per-slice bound values."""
-    decomposition = decompose(p)
-    trimmed, values, assembled = _slice_bounds(decomposition)
+    bands = slice_bands(p.d)
+    trimmed, values, assembled = _slice_bounds(decompose(p))
     slices = [
         {
             "rows": [lo, hi],
             "effective_shape": list(t.shape),
             "bvhrect": value,
         }
-        for (lo, hi), t, value in zip(decomposition.bands, trimmed, values)
+        for (lo, hi), t, value in zip(bands, trimmed, values)
     ]
     return {
-        "n_slices": decomposition.n_slices,
-        "bands": [list(band) for band in decomposition.bands],
+        "n_slices": len(bands),
+        "bands": [list(band) for band in bands],
         "slices": slices,
         "assembled_bound": assembled,
     }
 
 
-def _slice_bounds(decomposition: SliceDecomposition) -> tuple[list, list, float]:
+def _slice_bounds(slices: tuple) -> tuple[list, list, float]:
     # Trimmed slices, their bvhrect values (0 if empty) and 2 sqrt(N) max_n bvhrect.
-    trimmed = [_trim_vanishing(profile) for profile in decomposition.slice_profiles]
+    trimmed = [_trim_vanishing(profile) for profile in slices]
     values = [bvhrect_bound(t) for t in trimmed]
-    return trimmed, values, 2.0 * math.sqrt(decomposition.n_slices) * max(values)
+    return trimmed, values, 2.0 * math.sqrt(len(slices)) * max(values)
 
 
 def _trim_vanishing(profile: np.ndarray) -> np.ndarray:

@@ -189,9 +189,11 @@ class TestMcCommand:
         assert "PiB" in line and "of physical memory" in line
 
     def test_dimension_past_float_digits_is_shown_short(self, capsys):
-        line = _assert_input_error(capsys, ["bounds", "--family", "wigner:d=1e308"])
-        assert line.startswith("error: out of memory: d=1e+308 needs about")
-        assert len(line) < 200
+        for spec, shown in (("wigner:d=1e308", "1e+308"), ("wigner:d=1e200", "1e+200")):
+            line = _assert_input_error(capsys, ["bounds", "--family", spec])
+            assert line.startswith(f"error: out of memory: d={shown} needs about")
+            assert "inf" not in line  # 32 d^2 bytes is past float64 here
+            assert len(line) < 200
 
 
 class TestVerifyCommand:
@@ -354,6 +356,17 @@ class TestReportEnvelope:
         assert keys[:2] == ["schema", "command"] and keys[-1] == "wall_time_s"
         assert report["schema"] == cli.SCHEMA_VERSION and report["command"] == argv[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["ball", "--family", "wigner:d=2", "--points", "4"],
+        ["bounds", "--family", "wigner:d=4", "--replicates", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_equals_out_file(self, capsys, tmp_path, argv):
+        out = tmp_path / "report"
+        status, printed = _run(capsys, argv + ["--out", str(out)])
+        assert status == 0
+        assert printed == out.read_text()
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+
     def test_ball_prints_plain_csv(self, capsys):
         status, out = _run(capsys, ["ball", "--family", "wigner:d=2", "--points", "4"])
         assert status == 0
@@ -412,6 +425,11 @@ class TestScanCommand:
 
     def test_empty_families_is_usage_error(self, capsys):
         assert main(["scan", "--families", "", "--dims", "4"]) == 1
+
+    @pytest.mark.parametrize("dims", ["1e3", "4,x"])
+    def test_bad_dims_token_names_the_flag(self, capsys, dims):
+        line = _assert_input_error(capsys, ["scan", "--families", "wigner", "--dims", dims])
+        assert "--dims" in line
 
 
 # Tokens for the argv property test: numbers kept small enough that every
@@ -502,8 +520,8 @@ class TestArgvProperties:
             assert out == ""
             assert sum(line.startswith("error:") for line in err.splitlines()) == 1
         elif argv[0] == "ball":
-            # the CSV ends in a newline, and print adds one more
-            lines = out.rstrip("\n").splitlines()
+            assert out.endswith("\n") and not out.endswith("\n\n")
+            lines = out.splitlines()
             assert lines[0] == "theta,x1,x2" and len(lines) >= 4
             assert all(math.isfinite(float(field))
                        for line in lines[1:] for field in line.split(","))

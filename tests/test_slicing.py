@@ -18,38 +18,36 @@ from specbounds.profile import StdDevProfile, gamma_star, rearrange
 from specbounds.slicing import (
     decompose,
     decomposition_summary,
-    lower_tri,
     slice_assembled_bound,
     slice_bands,
-    upper_tri,
     verify_slice_inequality,
 )
 
 
 class TestSliceBands:
     def test_hand_table_d16(self):
-        assert slice_bands(16).bands == ((1, 4), (5, 16))
+        assert slice_bands(16) == ((1, 4), (5, 16))
 
     def test_hand_table_d4(self):
-        decomposition = slice_bands(4)
-        assert decomposition.bands == ((1, 4),)
-        assert decomposition.n_slices == 1
+        bands = slice_bands(4)
+        assert bands == ((1, 4),)
+        assert len(bands) == 1
 
     def test_hand_table_d256(self):
-        assert slice_bands(256).bands == ((1, 4), (5, 16), (17, 256))
+        assert slice_bands(256) == ((1, 4), (5, 16), (17, 256))
 
     def test_tiny_dimensions(self):
-        assert slice_bands(1).bands == ((1, 1),)
-        assert slice_bands(5).bands == ((1, 4), (5, 5))
+        assert slice_bands(1) == ((1, 1),)
+        assert slice_bands(5) == ((1, 4), (5, 5))
 
     def test_matches_ceil_log_log(self):
         for d in (5, 16, 17, 100, 256, 257, 4999):
             expected = math.ceil(math.log2(math.log2(d)))
-            assert slice_bands(d).n_slices == expected
+            assert len(slice_bands(d)) == expected
 
     def test_partition_up_to_5000(self):
         for d in range(1, 5001):
-            bands = slice_bands(d).bands
+            bands = slice_bands(d)
             covered = []
             for lo, hi in bands:
                 assert lo <= hi
@@ -61,25 +59,11 @@ class TestSliceBands:
             slice_bands(0)
 
 
-class TestTriangularParts:
-    def test_diagonal_unchanged_by_lower(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(lower_tri(a), a)
-
-    def test_partition(self):
-        a = np.random.default_rng(0).standard_normal((5, 5))
-        np.testing.assert_array_equal(lower_tri(a) + upper_tri(a), a)
-
-    def test_all_ones_2x2(self):
-        np.testing.assert_array_equal(lower_tri(np.ones((2, 2))), [[1, 0], [1, 1]])
-
-
 class TestDecompose:
     def test_profiles_cover_lower_triangle(self):
         p = random_profile(20, seed=1)
-        decomposition = decompose(p)
-        stacked = np.vstack(decomposition.slice_profiles)
-        np.testing.assert_array_equal(stacked, lower_tri(rearrange(p).bstar))
+        stacked = np.vstack(decompose(p))
+        np.testing.assert_array_equal(stacked, np.tril(rearrange(p).bstar))
 
     def test_entry_cap_per_slice(self):
         # on the rearranged profile every entry of slice n >= 2 obeys
@@ -91,10 +75,7 @@ class TestDecompose:
             random_profile(90, seed=5),
         ):
             gamma = gamma_star(p, offset=0)
-            decomposition = decompose(p)
-            for (lo, _), profile in zip(
-                decomposition.bands[1:], decomposition.slice_profiles[1:]
-            ):
+            for (lo, _), profile in zip(slice_bands(p.d)[1:], decompose(p)[1:]):
                 cap = gamma / math.sqrt(math.log(lo - 1))
                 assert np.all(profile <= cap * (1.0 + 1e-12))
 
@@ -105,7 +86,7 @@ class TestAssembledBound:
 
     def test_small_dimension_single_slice(self):
         p = random_profile(3, seed=7)
-        expected = 2.0 * bvhrect_bound(lower_tri(rearrange(p).bstar))
+        expected = 2.0 * bvhrect_bound(np.tril(rearrange(p).bstar))
         assert slice_assembled_bound(p) == pytest.approx(expected, rel=1e-12)
 
     def test_wigner_16_formula_evaluation(self):
