@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, geometry, linalg, montecarlo, slicing
-from .generators import parse_family_spec, random_profile, random_symmetric
+from . import bounds, checks, geometry, montecarlo
+from .checks import basic_corpus  # noqa: F401  (re-exported: read as cli.basic_corpus)
+from .generators import parse_family_spec
 from .linalg import psd_split
 from .profile import StdDevProfile, load_profile
 
@@ -27,8 +28,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
-
-RATIO_ENVELOPE = 10.0
 
 DEFAULT_EQUIV_FAMILIES = ["wigner:d=64", "diagonal_unit:d=64"]
 DEFAULT_SLICE_FAMILIES = ["wigner:d=64", "diagonal_decay:d=256"]
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run one verification suite")
     pv.add_argument("--check", required=True,
                     choices=["basic", "comparison", "slice", "split", "equiv"])
-    pv.add_argument("--trials", type=int, default=10000)
+    pv.add_argument("--trials", type=_int_at_least(1), default=10000)
     pv.add_argument("--seed", type=_int_at_least(0), default=0)
     pv.add_argument("--tol", type=_finite_float(), default=1e-9)
     pv.add_argument("--family", action="append", default=None,
@@ -111,13 +110,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     started = time.perf_counter()
     try:
-        handler = {
-            "bounds": _cmd_bounds,
-            "mc": _cmd_mc,
-            "verify": _cmd_verify,
-            "ball": _cmd_ball,
-            "scan": _cmd_scan,
-        }[args.command]
+        handler = {"bounds": _cmd_bounds, "mc": _cmd_mc, "verify": _cmd_verify,
+                   "ball": _cmd_ball, "scan": _cmd_scan}[args.command]
         report, status = handler(args)
         if isinstance(report, dict):
             report = {"schema": SCHEMA_VERSION, "command": args.command, **report,
@@ -246,9 +240,12 @@ def _cmd_scan(args) -> tuple[dict, int]:
 
 def _dim_token(token: str) -> int:
     try:
-        return int(token)
+        d = int(token)
     except ValueError:
         raise ValueError(f"--dims: expected an integer dimension, got {token.strip()!r}") from None
+    if d < 1:
+        raise ValueError(f"--dims: expected a dimension >= 1, got {d}")
+    return d
 
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
@@ -271,116 +268,18 @@ def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if args.check in ("basic", "comparison", "split") and args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    check = {
-        "basic": _check_basic,
-        "comparison": _check_comparison,
-        "slice": _check_slice,
-        "split": _check_split,
-        "equiv": _check_equiv,
-    }[args.check]
-    failures, details = check(args)
-    report = {
-        "check": args.check,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": args.tol,
-        "passed": not failures,
-        "failures": failures,
-        **details,
-    }
+    failures, details = {
+        "basic": lambda: checks.basic(args.trials, args.seed, args.tol),
+        "comparison": lambda: checks.comparison(args.trials, args.seed, args.tol),
+        "split": lambda: checks.split(args.trials, args.seed),
+        "slice": lambda: checks.slice(args.family or DEFAULT_SLICE_FAMILIES,
+                                      args.replicates, args.seed),
+        "equiv": lambda: checks.equiv(args.family or DEFAULT_EQUIV_FAMILIES,
+                                      args.replicates, args.seed),
+    }[args.check]()
+    report = {"check": args.check, "trials": args.trials, "seed": args.seed, "tol": args.tol,
+              "passed": not failures, "failures": failures, **details}
     return report, EXIT_OK if not failures else EXIT_VERIFY_FAILED
-
-
-def basic_corpus(trials: int, seed: int):
-    """Random (profile, v, w, gamma) tuples: d in 2..16, gamma cycling
-    {0.1, 1, 10}, support density cycling {1, 0.6, 0.3}."""
-    gammas = (0.1, 1.0, 10.0)
-    densities = (1.0, 0.6, 0.3)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        d = int(rng.integers(2, 17))
-        profile = random_profile(d, seed=seed * 1_000_003 + t,
-                                 density=densities[(t // 3) % 3])
-        v = rng.standard_normal(d)
-        w = rng.standard_normal(d)
-        yield profile, v, w, gammas[t % 3]
-
-
-def _check_basic(args) -> tuple[list, dict]:
-    failures = []
-    min_gap = np.inf
-    for t, (profile, v, w, gamma) in enumerate(basic_corpus(args.trials, args.seed)):
-        lhs = geometry.natural_dist_sq(profile, v, w)
-        gap = geometry.basic_gap(profile, v, w, gamma)
-        scale = 1.0 + abs(gap + lhs) + abs(lhs)
-        min_gap = min(min_gap, gap / scale)
-        if gap < -args.tol * scale:
-            failures.append({"trial": t, "d": profile.d, "gamma": gamma,
-                             "gap": gap, "scale": scale})
-            if len(failures) >= 20:
-                break
-    return failures, {"min_scaled_gap": float(min_gap)}
-
-
-def _check_comparison(args) -> tuple[list, dict]:
-    failures = []
-    min_slack = np.inf
-    for t, (profile, v, w, gamma) in enumerate(basic_corpus(args.trials, args.seed)):
-        split = psd_split(profile.variance_matrix)
-        nat = geometry.natural_dist_sq(profile, v, w)
-        comp = geometry.comparison_dist_sq(profile, split, v, w, gamma)
-        scale = 1.0 + abs(comp) + abs(nat)
-        min_slack = min(min_slack, (comp - nat) / scale)
-        if comp < nat - args.tol * scale:
-            failures.append({"trial": t, "d": profile.d, "gamma": gamma,
-                             "comparison": comp, "natural": nat})
-            if len(failures) >= 20:
-                break
-    return failures, {"min_scaled_slack": float(min_slack)}
-
-
-def _check_slice(args) -> tuple[list, dict]:
-    failures = []
-    reports = {}
-    for spec in args.family or DEFAULT_SLICE_FAMILIES:
-        profile = parse_family_spec(spec)
-        outcome = slicing.verify_slice_inequality(profile, args.replicates, args.seed)
-        reports[spec] = {**outcome, "decomposition": slicing.decomposition_summary(profile)}
-        if not outcome["holds"]:
-            failures.append({"family": spec, "outcome": outcome})
-    return failures, {"reports": reports}
-
-
-def _check_split(args) -> tuple[list, dict]:
-    failures = []
-    for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, t])
-        d = int(rng.integers(2, 33))
-        scale = float(rng.choice([0.01, 1.0, 100.0]))
-        a = random_symmetric(d, seed=args.seed * 1_000_003 + t, scale=scale)
-        split = psd_split(a)
-        problems = linalg.split_invariant_violations(a, split)
-        if problems:
-            failures.append({"trial": t, "d": d, "problems": problems})
-            if len(failures) >= 20:
-                break
-    return failures, {}
-
-
-def _check_equiv(args) -> tuple[list, dict]:
-    failures = []
-    reports = {}
-    for spec in args.family or DEFAULT_EQUIV_FAMILIES:
-        profile = parse_family_spec(spec)
-        report = montecarlo.equivalence_report(profile, args.replicates, args.seed)
-        reports[spec] = report
-        for a, row in report["ratios"].items():
-            for b, ratio in row.items():
-                if not (1.0 / RATIO_ENVELOPE <= ratio <= RATIO_ENVELOPE):
-                    failures.append({"family": spec, "pair": [a, b], "ratio": ratio})
-    return failures, {"reports": reports}
 
 
 if __name__ == "__main__":

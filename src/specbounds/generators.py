@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import os
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -23,17 +23,6 @@ __all__ = [
     "parse_family_spec",
     "FAMILY_NAMES",
 ]
-
-FAMILY_NAMES = (
-    "wigner",
-    "diagonal_unit",
-    "diagonal_decay",
-    "band",
-    "bandeira",
-    "kronecker_flip",
-    "sparse_random",
-)
-
 
 def gen_wigner(d: int) -> StdDevProfile:
     """Homogeneous profile with b_ij = 1 for all i, j."""
@@ -158,32 +147,35 @@ def make_family(name: str, params: dict) -> StdDevProfile:
     d/2 with nonnegative entries, so the family stays expressible from flat
     CLI flags; d must be even.
     """
-    p = dict(params)
-    if name == "wigner":
-        profile = gen_wigner(_take_int(p, "d"))
-    elif name == "diagonal_unit":
-        profile = gen_diagonal_unit(_take_int(p, "d"))
-    elif name == "diagonal_decay":
-        profile = gen_diagonal_decay(_take_int(p, "d"))
-    elif name == "band":
-        profile = gen_band(_take_int(p, "d"), _take_int(p, "w"))
-    elif name == "bandeira":
-        profile = gen_bandeira(float(p.pop("delta")))
-    elif name == "kronecker_flip":
-        d = _take_int(p, "d")
-        if d % 2 != 0:
-            raise ValueError(f"kronecker_flip needs even d, got {d}")
-        _check_dim(d)
-        profile = gen_kronecker_flip(random_psd_nonneg(d // 2, _take_seed(p, name)))
-    elif name == "sparse_random":
-        profile = gen_sparse_random(
-            _take_int(p, "d"), float(p.pop("density", 0.1)), _take_seed(p, name)
-        )
-    else:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
+    p = dict(params)
+    profile = _FAMILIES[name](p)
     if p:
         raise ValueError(f"unexpected parameter(s) {sorted(p)} for family {name!r}")
     return profile
+
+
+def _kronecker_flip(p: dict) -> StdDevProfile:
+    d = _take_int(p, "d")
+    if d % 2 != 0:
+        raise ValueError(f"kronecker_flip needs even d, got {d}")
+    _check_dim(d)
+    return gen_kronecker_flip(random_psd_nonneg(d // 2, _take_seed(p, "kronecker_flip")))
+
+
+# Each builder pops its parameters from the map it is given.
+_FAMILIES = {
+    "wigner": lambda p: gen_wigner(_take_int(p, "d")),
+    "diagonal_unit": lambda p: gen_diagonal_unit(_take_int(p, "d")),
+    "diagonal_decay": lambda p: gen_diagonal_decay(_take_int(p, "d")),
+    "band": lambda p: gen_band(_take_int(p, "d"), _take_int(p, "w")),
+    "bandeira": lambda p: gen_bandeira(float(p.pop("delta"))),
+    "kronecker_flip": _kronecker_flip,
+    "sparse_random": lambda p: gen_sparse_random(_take_int(p, "d"), float(p.pop("density", 0.1)),
+                                                 _take_seed(p, "sparse_random")),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def parse_family_spec(spec: str) -> StdDevProfile:
@@ -229,7 +221,7 @@ def _check_dim(d: int) -> None:
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
         # A d past 15 digits is shown as 1e+308, not in 309 digits.
-        shown = d if d < 10**15 else f"{d:g}"
+        shown = d if d < 10**15 else f"{Decimal(d).normalize(Context(prec=6)):g}"
         raise ValueError(f"out of memory: d={shown} needs about {_binary_size(need)}, "
                          f"more than the {_binary_size(physical)} of physical memory")
 

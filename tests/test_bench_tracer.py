@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import specbounds.cli  # noqa: F401  (imports every traced module)
-from specbounds import montecarlo, profile
+from specbounds import checks, cli, montecarlo, profile
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -48,3 +48,20 @@ def test_every_target_resolves_and_uninstall_restores():
     assert montecarlo.spectral_norm is spectral_norm
     assert profile.StdDevProfile.__init__ is init
     assert [_traced_callable(*target) for target in targets] == originals
+
+
+def test_corpus_is_traced_where_the_checks_read_it():
+    # cli re-exports checks.basic_corpus, and the tracer rebinds it in every
+    # module, so the cli.basic_corpus spans count the corpus the checks run.
+    tracer_module = _load_tracer()
+    original = checks.basic_corpus
+    assert cli.basic_corpus is original
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert checks.basic_corpus.__wrapped__ is original
+        checks.basic(5, 0, 1e-9)
+    finally:
+        tracer.uninstall()
+    assert checks.basic_corpus is original
+    assert tracer.summarize()["cli.basic_corpus"]["calls"] == 5

@@ -1,0 +1,51 @@
+"""The verification suites called with plain arguments, without argparse,
+against reference loops over the public geometry functions and against the
+`verify` report for the same arguments."""
+
+import json
+import math
+
+from specbounds import checks
+from specbounds.checks import basic_corpus
+from specbounds.cli import main
+from specbounds.geometry import basic_gap, comparison_dist_sq, natural_dist_sq
+from specbounds.linalg import psd_split
+
+
+def _verify(capsys, check, *flags):
+    assert main(["verify", "--check", check, *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_basic_matches_reference_loop_and_report(capsys):
+    worst = math.inf
+    for p, v, w, gamma in basic_corpus(500, 2):
+        lhs = natural_dist_sq(p, v, w)
+        gap = basic_gap(p, v, w, gamma)
+        scale = 1.0 + abs(gap + lhs) + abs(lhs)
+        assert gap >= -1e-9 * scale
+        worst = min(worst, gap / scale)
+    result = checks.basic(500, 2, 1e-9)
+    assert result == ([], {"min_scaled_gap": worst})
+    report = _verify(capsys, "basic", "--trials", "500", "--seed", "2", "--tol", "1e-9")
+    assert result == (report["failures"], {"min_scaled_gap": report["min_scaled_gap"]})
+
+
+def test_comparison_matches_reference_loop_and_report(capsys):
+    worst = math.inf
+    for p, v, w, gamma in basic_corpus(300, 0):
+        nat = natural_dist_sq(p, v, w)
+        comp = comparison_dist_sq(p, psd_split(p.variance_matrix), v, w, gamma)
+        scale = 1.0 + abs(comp) + abs(nat)
+        assert comp >= nat - 1e-9 * scale
+        worst = min(worst, (comp - nat) / scale)
+    result = checks.comparison(300, 0, 1e-9)
+    assert result == ([], {"min_scaled_slack": worst})
+    report = _verify(capsys, "comparison", "--trials", "300", "--seed", "0", "--tol", "1e-9")
+    assert result == (report["failures"], {"min_scaled_slack": report["min_scaled_slack"]})
+
+
+def test_family_checks_match_report(capsys):
+    for check, spec in ((checks.slice, "diagonal_decay:d=20"), (checks.equiv, "wigner:d=8")):
+        report = _verify(capsys, check.__name__, "--family", spec, "--replicates", "20")
+        assert check([spec], 20, 0) == (report["failures"], {"reports": report["reports"]})

@@ -248,7 +248,7 @@ class TestVerifyCommand:
          lambda *args: {"ratios": {"norm": {"rowmax": 100.0}}}, {"family", "pair", "ratio"}),
     ], ids=["basic", "comparison", "split", "slice", "equiv"])
     def test_failing_trials_exit_2(self, capsys, monkeypatch, check, module, name, fake, keys):
-        monkeypatch.setattr(getattr(cli, module), name, fake)
+        monkeypatch.setattr(getattr(cli.checks, module), name, fake)
         status, report = _run_json(
             capsys,
             ["verify", "--check", check, "--trials", "50"],
@@ -260,7 +260,7 @@ class TestVerifyCommand:
         if check in ("basic", "comparison", "split"):
             assert len(report["failures"]) == 20  # the cap
 
-    @pytest.mark.parametrize("check", ["basic", "comparison", "split"])
+    @pytest.mark.parametrize("check", ["basic", "comparison", "split", "slice", "equiv"])
     def test_zero_trials_is_input_error(self, capsys, check):
         _assert_input_error(capsys, ["verify", "--check", check, "--trials", "0"])
 
@@ -288,7 +288,7 @@ class TestVerifyCommand:
 
     def test_non_finite_report_value_is_input_error(self, capsys, monkeypatch):
         # strict JSON: a non-finite number exits 1 instead of printing Infinity
-        monkeypatch.setattr(cli, "_check_split", lambda args: ([], {"worst": math.inf}))
+        monkeypatch.setattr(cli.checks, "split", lambda *args: ([], {"worst": math.inf}))
         _assert_input_error(capsys, ["verify", "--check", "split", "--trials", "1"])
 
     def test_unknown_check_is_usage_error(self, capsys):
@@ -426,7 +426,7 @@ class TestScanCommand:
     def test_empty_families_is_usage_error(self, capsys):
         assert main(["scan", "--families", "", "--dims", "4"]) == 1
 
-    @pytest.mark.parametrize("dims", ["1e3", "4,x"])
+    @pytest.mark.parametrize("dims", ["1e3", "4,x", "0", "-3"])
     def test_bad_dims_token_names_the_flag(self, capsys, dims):
         line = _assert_input_error(capsys, ["scan", "--families", "wigner", "--dims", dims])
         assert "--dims" in line

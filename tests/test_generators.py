@@ -36,6 +36,11 @@ class TestWigner:
         with pytest.raises(ValueError):
             gen_wigner(0)
 
+    def test_dimension_past_float_range_is_shown_short(self):
+        # 10**400 has no float64 value; the message still shows it as 1e+400
+        with pytest.raises(ValueError, match=r"^out of memory: d=1e\+400 "):
+            gen_wigner(10**400)
+
 
 class TestDiagonalDecay:
     def test_d1(self):
