@@ -9,13 +9,12 @@ quantities by seeded Monte Carlo, and verifies the geometric inequalities
 relating them as executable properties.
 """
 
-from .profile import StdDevProfile, RearrangedProfile, load_profile, sigma, rearrange
+from .profile import StdDevProfile, load_profile, sigma, rearrange
 from .montecarlo import McEstimate, RandomStream
 from .linalg import SpectralSplit, psd_split, spectral_norm, sym_eig
 
 __all__ = [
     "StdDevProfile",
-    "RearrangedProfile",
     "load_profile",
     "sigma",
     "rearrange",

@@ -7,7 +7,6 @@ Universal constants the theory leaves unnamed are exposed as parameters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +14,6 @@ from .profile import StdDevProfile, gamma_star, max_entry, row_l4_max_term, sigm
 
 __all__ = [
     "BOUND_IDS",
-    "BoundReport",
     "bvh_bound",
     "equiv_expression",
     "remark_upper",
@@ -123,51 +121,25 @@ def bvhrect_bound(c: np.ndarray) -> float:
     return row_term + col_term + log_term
 
 
-@dataclass
-class BoundReport:
-    """Named bound values for one profile, with the constants and Monte
-    Carlo inputs that produced them."""
-
-    d: int
-    digest: str
-    values: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-    mc: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, value in self.values.items():
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"bound {key} is not a nonnegative finite value")
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "profile_digest": self.digest,
-            "bounds": {k: self.values[k] for k in BOUND_IDS},
-            "constants": dict(self.constants),
-            "mc": dict(self.mc),
-        }
-
-
 def compute_bound_report(
     p: StdDevProfile,
     c: float = DEFAULT_C,
     gamma: float = 1.0,
     replicates: int = 200,
     seed: int = 0,
-) -> BoundReport:
-    """Evaluate every bound id for one profile.
+) -> dict:
+    """Evaluate every bound id for one profile: the report block with d,
+    profile_digest, bounds in BOUND_IDS order, constants and mc.
 
     thm41 and cor_opt consume Monte Carlo estimates of the two expectation
     terms; their (seed, replicates, stderr) are recorded in the report.
+    Raises ValueError naming any bound that is negative or not finite.
     """
     # Imported here: slicing consumes bvhrect_bound from this module.
     from . import montecarlo, slicing
-    from .linalg import psd_split
 
     gdot = montecarlo.est_gdot(p, replicates, seed)
-    split = psd_split(p.variance_matrix)
-    ymax = montecarlo.est_ymax(split, replicates, seed)
+    ymax = montecarlo.est_ymax(p, replicates, seed)
     bmax = max_entry(p)
 
     gamma_opt, cor_opt = optimize_gamma(gdot, ymax, bmax)
@@ -181,17 +153,16 @@ def compute_bound_report(
         "slicing_assembled": slicing.slice_assembled_bound(p),
         "thm41": thm41_bound(gdot, ymax, bmax, gamma),
     }
-    return BoundReport(
-        d=p.d,
-        digest=p.digest(),
-        values=values,
-        constants={"c": c, "gamma": gamma, "gamma_star": gamma_opt},
-        mc={
-            "gdot": gdot.to_dict(),
-            "ymax": ymax.to_dict(),
-            "max_entry": bmax,
-        },
-    )
+    for key, value in values.items():
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"bound {key} is not a nonnegative finite value")
+    return {
+        "d": p.d,
+        "profile_digest": p.digest(),
+        "bounds": values,
+        "constants": {"c": c, "gamma": gamma, "gamma_star": gamma_opt},
+        "mc": {"gdot": gdot.to_dict(), "ymax": ymax.to_dict(), "max_entry": bmax},
+    }
 
 
 def _mean_of(estimate) -> float:

@@ -20,7 +20,6 @@ import numpy as np
 from . import bounds, checks, geometry, montecarlo
 from .checks import basic_corpus  # noqa: F401  (re-exported: read as cli.basic_corpus)
 from .generators import parse_family_spec
-from .linalg import psd_split
 from .profile import StdDevProfile, load_profile
 
 SCHEMA_VERSION = 1
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="universal constant for the C-carrying bounds")
     pb.add_argument("--gamma", type=_finite_float(positive=True), default=1.0,
                     help="gamma for the fixed-gamma comparison bound")
-    pb.add_argument("--replicates", type=int, default=200,
+    pb.add_argument("--replicates", type=_int_at_least(2), default=200,
                     help="replicates for the two Monte Carlo bound inputs")
     pb.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(pb)
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_flags(pm)
     pm.add_argument("--quantity", required=True,
                     choices=[*montecarlo.PROFILE_QUANTITIES, "all"])
-    pm.add_argument("--replicates", type=int, default=200)
+    pm.add_argument("--replicates", type=_int_at_least(2), default=200)
     pm.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(pm)
     pm.add_argument("--out", type=Path)
@@ -80,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=_finite_float(), default=1e-9)
     pv.add_argument("--family", action="append", default=None,
                     help="family spec(s) for the slice/equiv checks")
-    pv.add_argument("--replicates", type=int, default=50)
+    pv.add_argument("--replicates", type=_int_at_least(1), default=50)
     pv.add_argument("--out", type=Path)
 
     pball = sub.add_parser("ball", help="trace the deformed-ball boundary (d=2)")
     _add_profile_flags(pball)
-    pball.add_argument("--points", type=int, default=256)
+    pball.add_argument("--points", type=_int_at_least(3), default=256)
     pball.add_argument("--out", type=Path)
 
     ps = sub.add_parser("scan", help="bounds + MC quantities over families x dims")
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "a key=value token continues the family before it")
     ps.add_argument("--dims", required=True,
                     help="comma-separated dimensions, e.g. 16,64")
-    ps.add_argument("--replicates", type=int, default=200)
+    ps.add_argument("--replicates", type=_int_at_least(2), default=200)
     ps.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_workers_flag(ps)
     ps.add_argument("--out", type=Path)
@@ -139,8 +138,6 @@ def _add_profile_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", type=Path, help="profile file (CSV or JSON)")
     group.add_argument("--family", help="family spec, e.g. wigner:d=16")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="input format (default: by file suffix)")
 
 
 def _add_workers_flag(parser) -> None:
@@ -174,7 +171,7 @@ def _load(args) -> tuple[StdDevProfile, dict]:
     if args.family is not None:
         profile, source = parse_family_spec(args.family), {"family": args.family}
     else:
-        fmt = args.format or ("json" if args.input.suffix == ".json" else "csv")
+        fmt = "json" if args.input.suffix == ".json" else "csv"
         profile = load_profile(args.input.read_text(), format=fmt)
         source = {"file": str(args.input)}
     return profile, {"d": profile.d, "digest": profile.digest(), **source}
@@ -189,7 +186,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         replicates=args.replicates,
         seed=args.seed,
     )
-    return {"profile": block, "report": report.to_dict(), "seed": args.seed}, EXIT_OK
+    return {"profile": block, "report": report, "seed": args.seed}, EXIT_OK
 
 
 def _cmd_mc(args) -> tuple[dict, int]:
@@ -201,8 +198,7 @@ def _cmd_mc(args) -> tuple[dict, int]:
     if "gdot" in quantities:
         estimates["gdot"] = montecarlo.est_gdot(profile, args.replicates, args.seed)
     if "ymax" in quantities:
-        split = psd_split(profile.variance_matrix)
-        estimates["ymax"] = montecarlo.est_ymax(split, args.replicates, args.seed)
+        estimates["ymax"] = montecarlo.est_ymax(profile, args.replicates, args.seed)
     return {
         "profile": block,
         "estimates": {q: estimates[q].to_dict() for q in quantities},
@@ -252,16 +248,15 @@ def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
     report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
     x = montecarlo.est_x(profile, args.replicates, args.seed)
     norm, rowmax = x["norm"], x["rowmax"]
-    equiv_value = report.values["equiv_expression"]
-    fields = report.to_dict()
+    equiv_value = report["bounds"]["equiv_expression"]
     return {
         "family": spec,
         "d": profile.d,
         "digest": profile.digest(),
-        "bounds": fields["bounds"],
-        "constants": fields["constants"],
+        "bounds": report["bounds"],
+        "constants": report["constants"],
         "estimates": {**{q: e.to_dict() for q, e in x.items()},
-                      "gdot": report.mc["gdot"], "ymax": report.mc["ymax"]},
+                      "gdot": report["mc"]["gdot"], "ymax": report["mc"]["ymax"]},
         "conjecture_ratio": norm.mean / equiv_value if equiv_value else 1.0,
         "norm_over_rowmax": norm.mean / rowmax.mean if rowmax.mean else 1.0,
     }

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import equiv_expression
 from .geometry import _check_vector
-from .linalg import SpectralSplit, spectral_norm
+from .linalg import psd_split, spectral_norm
 from .profile import StdDevProfile, sigma, support_blocks
 
 __all__ = [
@@ -218,13 +218,14 @@ def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     return _reduce(values, replicates, seed, "gdot")
 
 
-def est_ymax(split: SpectralSplit, replicates: int, seed: int) -> McEstimate:
-    """E max_i Y_i for Y ~ N(0, B^-), sampled as Y = L g.
+def est_ymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
+    """E max_i Y_i for Y ~ N(0, B^-), sampled as Y = L g with L the factor
+    of linalg.psd_split(B).
 
     When B is PSD the factor is empty, Y = 0, and the estimate is exactly
     (0, 0).
     """
-    factor = split.factor_l
+    factor = psd_split(p.variance_matrix).factor_l
     values = (np.max(g @ factor.T, axis=1)
               for g in _normal_stacks(factor.shape[1], replicates, seed, YMAX_TAG))
     return _reduce(values, replicates, seed, "ymax")

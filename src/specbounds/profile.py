@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "StdDevProfile",
-    "RearrangedProfile",
     "load_profile",
     "sigma",
     "max_entry",
@@ -87,19 +86,6 @@ class StdDevProfile:
         return hashlib.sha256(np.ascontiguousarray(self.b).tobytes()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class RearrangedProfile:
-    """A profile with rows and columns simultaneously permuted so that the
-    row maxima are nonincreasing.
-
-    perm[k] is the 0-based original index of the row placed at position k;
-    bstar[i][j] = b[perm[i]][perm[j]] for the original profile b.
-    """
-
-    perm: np.ndarray
-    bstar: np.ndarray
-
-
 def load_profile(source: str, format: str = "csv") -> StdDevProfile:
     """Parse a profile from CSV or JSON text.
 
@@ -156,16 +142,19 @@ def max_entry(p: StdDevProfile) -> float:
     return float(np.max(p.b))
 
 
-def rearrange(p: StdDevProfile) -> RearrangedProfile:
-    """Permute rows and columns together so row maxima are nonincreasing.
+def rearrange(p: StdDevProfile) -> StdDevProfile:
+    """The decreasing rearrangement b*: rows and columns permuted together
+    so row maxima are nonincreasing.
 
     Row maxima are preserved by a simultaneous row/column permutation, so
     the permutation is determined by sorting the original row maxima in
     descending order, ties broken by ascending original row index.
     """
     # A stable sort on the negated maxima breaks ties by ascending index.
+    # The permuted copy of a valid profile is still finite, nonnegative and
+    # exactly symmetric with the same sum_ij b_ij^4, so it skips the checks.
     perm = np.argsort(-np.max(p.b, axis=1), kind="stable")
-    return RearrangedProfile(perm=perm, bstar=p.b[np.ix_(perm, perm)])
+    return StdDevProfile._trusted(p.b[np.ix_(perm, perm)])
 
 
 def support_blocks(p: StdDevProfile) -> list[np.ndarray]:

@@ -42,7 +42,7 @@ def slice_bands(d: int) -> tuple:
 def decompose(p: StdDevProfile) -> tuple:
     """The band slices b_ij * [i >= j] of the rearranged profile, one per
     band of slice_bands(p.d)."""
-    low = np.tril(rearrange(p).bstar)
+    low = np.tril(rearrange(p).b)
     return tuple(low[lo - 1 : hi, :] for lo, hi in slice_bands(p.d))
 
 
@@ -69,7 +69,7 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     bands = slice_bands(p.d)
-    pstar = StdDevProfile(d=p.d, b=rearrange(p).bstar)
+    pstar = rearrange(p)
     blocks = support_blocks(pstar)
     # One (holds, sum ratio, slice ratio) row per replicate.
     rows = []

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from specbounds import bounds
 from specbounds.bounds import (
     BOUND_IDS,
-    BoundReport,
     bvh_bound,
     bvhrect_bound,
     compute_bound_report,
@@ -181,6 +181,11 @@ class TestBvhrectBound:
         with pytest.raises(ValueError):
             bvhrect_bound(np.array([[1.0, -1.0]]))
 
+    @pytest.mark.parametrize("c", [np.ones(3), np.ones((2, 2, 2))])
+    def test_non_matrix_rejected(self, c):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            bvhrect_bound(c)
+
 
 class TestBoundProperties:
     def test_equiv_below_bvh(self):
@@ -224,15 +229,16 @@ class TestBoundProperties:
 class TestBoundReport:
     def test_report_keys_and_constants(self):
         report = compute_bound_report(gen_wigner(8), replicates=20, seed=1)
-        assert tuple(report.to_dict()["bounds"]) == BOUND_IDS
-        assert report.constants["c"] == 2.0
-        assert report.mc["gdot"]["replicates"] == 20
+        assert tuple(report["bounds"]) == BOUND_IDS
+        assert report["constants"]["c"] == 2.0
+        assert report["mc"]["gdot"]["replicates"] == 20
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            BoundReport(d=2, digest="x", values={"bvh": -1.0})
+    def test_rejects_bad_values(self, monkeypatch):
+        monkeypatch.setattr(bounds, "bvh_bound", lambda p: -1.0)
+        with pytest.raises(ValueError, match="bvh"):
+            compute_bound_report(gen_wigner(2), replicates=20, seed=1)
 
     def test_wigner_psd_case_uses_gamma_one(self):
         report = compute_bound_report(gen_wigner(8), replicates=20, seed=1)
-        assert report.constants["gamma_star"] == 1.0
-        assert report.values["cor_opt"] == pytest.approx(report.values["thm41"])
+        assert report["constants"]["gamma_star"] == 1.0
+        assert report["bounds"]["cor_opt"] == pytest.approx(report["bounds"]["thm41"])

@@ -95,9 +95,24 @@ class TestBoundsCommand:
     def test_negative_seed_is_usage_error(self, capsys, command):
         assert "--seed" in _assert_input_error(capsys, command + ["--seed", "-1"])
 
+    @pytest.mark.parametrize("command, flag, value, low", [
+        (["bounds", "--family", "wigner:d=4"], "--replicates", "1", 2),
+        (["mc", "--family", "wigner:d=4", "--quantity", "norm"], "--replicates", "1", 2),
+        (["scan", "--families", "wigner", "--dims", "4"], "--replicates", "1", 2),
+        (["verify", "--check", "slice"], "--replicates", "0", 1),
+        (["ball", "--family", "bandeira:delta=0.5"], "--points", "2", 3),
+    ])
+    def test_count_below_floor_names_the_flag(self, capsys, command, flag, value, low):
+        line = _assert_input_error(capsys, command + [flag, value])
+        assert line == f"error: argument {flag}: expected an integer >= {low}, got {value}"
+
     @pytest.mark.parametrize("spec", ["kronecker_flip:d=4,seed=-1", "sparse_random:d=4,seed=-1"])
     def test_negative_family_seed_is_input_error(self, capsys, spec):
         assert "seed" in _assert_input_error(capsys, ["bounds", "--family", spec])
+
+    def test_unexpected_family_parameter_is_input_error(self, capsys):
+        line = _assert_input_error(capsys, ["bounds", "--family", "wigner:d=4,w=2"])
+        assert line == "error: unexpected parameter(s) ['w'] for family 'wigner'"
 
     @pytest.mark.parametrize("flag", ["--c", "--gamma"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])

@@ -96,6 +96,14 @@ class TestKroneckerFlip:
         with pytest.raises(ValueError, match="semidefinite"):
             gen_kronecker_flip(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bprime, message", [
+        (np.ones((2, 3)), "B' must be square"),
+        (np.array([[1.0, 0.5], [0.25, 1.0]]), "B' must be symmetric"),
+    ])
+    def test_malformed_bprime_rejected(self, bprime, message):
+        with pytest.raises(ValueError, match=message):
+            gen_kronecker_flip(bprime)
+
     def test_random_psd_inputs_validate(self):
         for seed in range(5):
             p = gen_kronecker_flip(random_psd_nonneg(4, seed))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -87,6 +88,24 @@ class TestPsdSplit:
         np.testing.assert_allclose(
             split.factor_l @ split.factor_l.T, split.bminus, atol=1e-10
         )
+
+    @pytest.mark.parametrize("field, corrupt, message", [
+        ("eigenvalues", lambda s: s.eigenvalues + 1.0, "eigendecomposition residual"),
+        ("eigenvectors", lambda s: 2.0 * s.eigenvectors, "eigenvector orthonormality residual"),
+        ("eigenvalues", lambda s: s.eigenvalues[::-1], "eigenvalues not descending"),
+        ("bplus", lambda s: s.bplus + np.eye(12), "bplus - bminus residual"),
+        ("bminus", lambda s: s.bminus + s.bplus, "bplus @ bminus residual"),
+        ("bplus", lambda s: s.bplus - np.eye(12), "bplus min eigenvalue"),
+        ("bminus", lambda s: s.bminus - np.eye(12), "bminus min eigenvalue"),
+        ("factor_l", lambda s: 2.0 * s.factor_l, "factor residual"),
+    ])
+    def test_violations_name_the_broken_invariant(self, field, corrupt, message):
+        # an indefinite input, so both parts and the factor are nonzero
+        a = random_symmetric(12, seed=5)
+        split = psd_split(a)
+        broken = dataclasses.replace(split, **{field: corrupt(split)})
+        problems = split_invariant_violations(a, broken)
+        assert any(problem.startswith(message) for problem in problems), problems
 
 
 class TestSpectralNorm:

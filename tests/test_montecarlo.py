@@ -120,18 +120,21 @@ class TestEstimators:
         assert abs(gdot.mean - entrymax.mean) <= 4.0 * combined
 
     def test_est_ymax_psd_is_exactly_zero(self):
-        split = psd_split(gen_wigner(6).variance_matrix)
-        est = est_ymax(split, 100, 0)
+        est = est_ymax(gen_wigner(6), 100, 0)
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_est_ymax_indefinite_is_positive(self):
-        split = psd_split(gen_bandeira(0.01).variance_matrix)
-        est = est_ymax(split, 2000, 1)
+        est = est_ymax(gen_bandeira(0.01), 2000, 1)
         assert est.mean > 0.0
 
     def test_replicate_floor(self):
         with pytest.raises(ValueError, match="replicates"):
             est_norm(gen_wigner(2), 1, 0)
+
+    def test_non_finite_estimate_rejected(self):
+        # inf * 0 gives NaN values, which must not come back as an estimate
+        with pytest.raises(ValueError, match="non-finite distsq estimate"):
+            est_distance_sq(gen_wigner(3), [np.inf, 0.0, 0.0], np.zeros(3), 10, 0)
 
     def test_metadata_recorded(self):
         est = est_entrymax(gen_wigner(3), 17, 123)
@@ -402,7 +405,7 @@ class TestBlockContract:
             rank, replicates,
         )
         _assert_matches(
-            est_ymax(split, replicates, self.SEED),
+            est_ymax(p, replicates, self.SEED),
             [float(np.max(split.factor_l @ g)) for g in gs],
         )
 
@@ -598,10 +601,10 @@ class TestExactOracles:
     def test_ymax_when_bminus_has_rank_one(self, spec):
         # B^- = L L^T with one column L, so Y = L g and max_i L_i g equals
         # g max L for g > 0 and |g| (-min L) for g < 0: E = (max L - min L) E g+
-        variance = parse_family_spec(spec).variance_matrix
-        eigenvalues, eigenvectors = np.linalg.eigh(variance)
+        p = parse_family_spec(spec)
+        eigenvalues, eigenvectors = np.linalg.eigh(p.variance_matrix)
         assert np.count_nonzero(eigenvalues < 0) == 1
         factor = math.sqrt(-eigenvalues[0]) * eigenvectors[:, 0]
         exact = (factor.max() - factor.min()) / math.sqrt(2.0 * math.pi)
-        est = est_ymax(psd_split(variance), 20000, self.SEED)
+        est = est_ymax(p, 20000, self.SEED)
         assert abs(est.mean - exact) <= 5.0 * est.stderr

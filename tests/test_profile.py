@@ -137,6 +137,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="declared"):
             StdDevProfile(d=3, b=np.eye(2))
 
+    @pytest.mark.parametrize("b", [np.ones((2, 3)), np.ones(3)])
+    def test_non_square_rejected(self, b):
+        with pytest.raises(ValueError, match="profile must be square"):
+            StdDevProfile(d=len(b), b=b)
+
     def test_immutable(self):
         p = gen_wigner(3)
         with pytest.raises(ValueError):
@@ -174,41 +179,44 @@ class TestRearrange:
         # row maxes (0.5, 2, 1) -> rows ordered as original indices 1, 2, 0
         b = np.diag([0.5, 2.0, 1.0])
         r = rearrange(StdDevProfile(3, b))
-        np.testing.assert_array_equal(r.perm, [1, 2, 0])
+        np.testing.assert_array_equal(r.b, np.diag([2.0, 1.0, 0.5]))
 
     def test_already_sorted_gives_identity(self):
         b = np.diag([3.0, 2.0, 1.0])
         r = rearrange(StdDevProfile(3, b))
-        np.testing.assert_array_equal(r.perm, [0, 1, 2])
+        np.testing.assert_array_equal(r.b, b)
 
     def test_tie_break_is_identity(self):
         r = rearrange(gen_wigner(4))
-        np.testing.assert_array_equal(r.perm, [0, 1, 2, 3])
+        np.testing.assert_array_equal(r.b, np.ones((4, 4)))
+        # every row has maximum 1 and the off-diagonal entries are distinct,
+        # so any other order than the identity would move them
+        b = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]])
+        np.testing.assert_array_equal(rearrange(StdDevProfile(3, b)).b, b)
 
     def test_invariants_on_random_corpus(self):
         for seed in range(20):
             p = random_profile(7, seed=seed)
             r = rearrange(p)
-            row_max = np.max(r.bstar, axis=1)
+            assert isinstance(r, StdDevProfile) and r.d == p.d
+            assert not r.b.flags.writeable
+            row_max = np.max(r.b, axis=1)
             assert np.all(np.diff(row_max) <= 0)
-            np.testing.assert_array_equal(r.bstar, r.bstar.T)
-            assert sorted(r.bstar.ravel()) == sorted(p.b.ravel())
-            np.testing.assert_array_equal(
-                r.bstar, p.b[np.ix_(r.perm, r.perm)]
-            )
+            np.testing.assert_array_equal(r.b, r.b.T)
+            assert sorted(r.b.ravel()) == sorted(p.b.ravel())
+            perm = np.argsort(-np.max(p.b, axis=1), kind="stable")
+            np.testing.assert_array_equal(r.b, p.b[np.ix_(perm, perm)])
 
     def test_idempotent(self):
         for seed in range(10):
             p = random_profile(6, seed=seed)
             once = rearrange(p)
-            again = rearrange(StdDevProfile(p.d, once.bstar))
-            np.testing.assert_array_equal(again.perm, np.arange(p.d))
+            np.testing.assert_array_equal(rearrange(once).b, once.b)
 
     def test_sigma_permutation_invariant(self):
         for seed in range(10):
             p = random_profile(9, seed=seed)
-            r = rearrange(p)
-            assert sigma(p) == pytest.approx(sigma(StdDevProfile(p.d, r.bstar)), rel=1e-15)
+            assert sigma(p) == pytest.approx(sigma(rearrange(p)), rel=1e-15)
 
 
 class TestGammaStar:

@@ -63,7 +63,7 @@ class TestDecompose:
     def test_profiles_cover_lower_triangle(self):
         p = random_profile(20, seed=1)
         stacked = np.vstack(decompose(p))
-        np.testing.assert_array_equal(stacked, np.tril(rearrange(p).bstar))
+        np.testing.assert_array_equal(stacked, np.tril(rearrange(p).b))
 
     def test_entry_cap_per_slice(self):
         # on the rearranged profile every entry of slice n >= 2 obeys
@@ -86,7 +86,7 @@ class TestAssembledBound:
 
     def test_small_dimension_single_slice(self):
         p = random_profile(3, seed=7)
-        expected = 2.0 * bvhrect_bound(np.tril(rearrange(p).bstar))
+        expected = 2.0 * bvhrect_bound(np.tril(rearrange(p).b))
         assert slice_assembled_bound(p) == pytest.approx(expected, rel=1e-12)
 
     def test_wigner_16_formula_evaluation(self):
