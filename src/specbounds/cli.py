@@ -263,6 +263,8 @@ def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    if args.check == "equiv" and args.replicates < 2:  # the parser holds slice's floor
+        raise ValueError(f"argument --replicates: expected an integer >= 2, got {args.replicates}")
     failures, details = {
         "basic": lambda: checks.basic(args.trials, args.seed, args.tol),
         "comparison": lambda: checks.comparison(args.trials, args.seed, args.tol),

@@ -1,9 +1,10 @@
 """Deformation map, natural metric, comparison-process distance, and the
 scans built on them.
 
-The quadratic-form identities here back 1e-9-level gap contracts; they are
-evaluated as plain numpy quadratic forms, whose rounding sits far inside
-that scale.
+The quadratic-form identities here back 1e-9-level gap contracts.  One set
+of private kernels, built from np.matvec, np.vecmat and np.vecdot,
+evaluates them on one trial or on a stack of trials; their rounding sits
+far inside that scale.
 """
 
 from __future__ import annotations
@@ -57,14 +58,13 @@ def natural_dist_sq(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
         + sum_{i != j} (v_i^2-w_i^2) b_ij^2 (v_j^2-w_j^2).
     """
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
-    return _natural_dist_sq(p.variance_matrix, v, w)[0]
+    return float(_natural_dist_sq(p.variance_matrix, v, w)[0])
 
 
 def quad_form_sq_diff(p: StdDevProfile, v: np.ndarray, w: np.ndarray) -> float:
     """Quadratic form of B at the vector (v_i^2 - w_i^2); may be negative."""
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
-    s = v * v - w * w
-    return float(s @ p.variance_matrix @ s)
+    return float(_quad(p.variance_matrix, v * v - w * w))
 
 
 def basic_gap(p: StdDevProfile, v: np.ndarray, w: np.ndarray, gamma: float) -> float:
@@ -79,7 +79,7 @@ def basic_gap(p: StdDevProfile, v: np.ndarray, w: np.ndarray, gamma: float) -> f
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
     b2 = p.variance_matrix
     dist_sq, quad = _natural_dist_sq(b2, v, w)
-    return (2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w) - gamma * quad - dist_sq
+    return float((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w) - gamma * quad - dist_sq)
 
 
 def comparison_dist_sq(
@@ -99,9 +99,8 @@ def comparison_dist_sq(
     """
     _check_gamma(gamma)
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
-    s = v * v - w * w
-    return ((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(p.variance_matrix, v, w)
-            + gamma * float(s @ split.bminus @ s))
+    return float((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(p.variance_matrix, v, w)
+                 + gamma * _quad(split.bminus, v * v - w * w))
 
 
 def bandeira_ratio(a: float, b: float, delta: float) -> float:
@@ -145,8 +144,10 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
         pairs = np.empty((min(_SCAN_CHUNK, trials - start), 2, p.d))
         for k, row in enumerate(pairs):
             np.random.default_rng([seed, start + k]).standard_normal(out=row)
-        pairs = _unit_rows(pairs)
-        violations += _count_violations(b2, pairs[:, 0], pairs[:, 1])
+        v, w = _unit_rows(pairs).transpose(1, 0, 2)
+        dist = np.sqrt(np.maximum(_natural_dist_sq(b2, v, w)[0], 0.0))
+        xdist = 2.0 * np.sqrt(_image_dist_sq(b2, v, w))
+        violations += int(np.count_nonzero(dist > xdist + 1e-12 * (1.0 + dist + xdist)))
     return violations / trials
 
 
@@ -157,13 +158,9 @@ def ball_boundary_2d(p: StdDevProfile, n_points: int) -> np.ndarray:
         raise ValueError(f"boundary tracing needs d = 2, got d = {p.d}")
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
-    b2 = p.variance_matrix
     thetas = 2.0 * np.pi * np.arange(n_points) / n_points
-    rows = np.empty((n_points, 3))
-    for k, theta in enumerate(thetas):
-        x = _image(b2, np.array([np.cos(theta), np.sin(theta)]))
-        rows[k] = (theta, x[0], x[1])
-    return rows
+    x = _image(p.variance_matrix, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+    return np.column_stack([thetas, x])
 
 
 def ball_boundary_csv(rows: np.ndarray) -> str:
@@ -176,48 +173,41 @@ def ball_boundary_csv(rows: np.ndarray) -> str:
 
 # The kernels below take the variance matrix B and vectors that are already
 # checked, so a public call checks and squares once, and a scan once per run.
+# The vector is the last axis: a (d,) input is one trial and a (k, d) stack
+# is k trials.  np.matvec, np.vecmat and np.vecdot run on each row the BLAS
+# call that a 1-D @ runs, so each row of a stacked result equals, bit for
+# bit, the same kernel called on that row alone.
 
 def _image(b2: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v * np.sqrt(b2 @ (v * v))
+    return v * np.sqrt(np.matvec(b2, v * v))
 
 
-def _image_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
+def _quad(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # s^T B s, evaluated as (s^T B) s
+    return np.vecdot(np.vecmat(s, b), s)
+
+
+def _image_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     dx = _image(b2, v) - _image(b2, w)
-    return float(dx @ dx)
+    return np.vecdot(dx, dx)
 
 
-def _natural_dist_sq(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _natural_dist_sq(b2: np.ndarray, v: np.ndarray,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # d(v, w)^2 and the term s^T B s (s = v^2 - w^2) that it contains
     s = v * v - w * w
-    quad = s @ b2 @ s
-    return float((v + w) ** 2 @ b2 @ (v - w) ** 2 + quad - np.diag(b2) @ (s * s)), float(quad)
-
-
-def _count_violations(b2: np.ndarray, v: np.ndarray, w: np.ndarray) -> int:
-    # violation_scan's test on stacked pairs, one trial per row of v and w:
-    # the same formulas as _natural_dist_sq and _image_dist_sq (B is
-    # symmetric, so rows times B are the per-trial B times vectors).
-    vv, ww = v * v, w * w
-    s = vv - ww
-    dist_sq = (_row_dots((v + w) ** 2 @ b2, (v - w) ** 2) + _row_dots(s @ b2, s)
-               - (s * s) @ np.diag(b2))
-    dx = v * np.sqrt(vv @ b2) - w * np.sqrt(ww @ b2)
-    dist = np.sqrt(np.maximum(dist_sq, 0.0))
-    xdist = 2.0 * np.sqrt(_row_dots(dx, dx))
-    return int(np.count_nonzero(dist > xdist + 1e-12 * (1.0 + dist + xdist)))
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a, b)
+    quad = _quad(b2, s)
+    return (np.vecdot(np.vecmat((v + w) ** 2, b2), (v - w) ** 2) + quad
+            - np.vecdot(np.diag(b2), s * s)), quad
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     # Each row of x (its last axis) scaled to unit length; a zero row
     # becomes the unit vector along (1, ..., 1).
-    norm = np.sqrt(_row_dots(x, x))
+    norm = np.sqrt(np.vecdot(x, x))
     if not norm.all():
         x = np.where((norm == 0.0)[..., None], 1.0, x)
-        norm = np.sqrt(_row_dots(x, x))
+        norm = np.sqrt(np.vecdot(x, x))
     return x / norm[..., None]
 
 

@@ -120,10 +120,11 @@ def load_profile(source: str, format: str = "csv") -> StdDevProfile:
             raise ValueError(f"JSON field 'b' is not a numeric matrix: {exc}") from exc
         if b.ndim != 2:
             raise ValueError("JSON field 'b' is not a matrix")
-        if "d" in payload and payload["d"] != b.shape[0]:
-            raise ValueError(
-                f"JSON declares d={payload['d']} but b has {b.shape[0]} rows"
-            )
+        d = payload.get("d", b.shape[0])
+        if type(d) is not int:  # not isinstance: true would pass as d = 1
+            raise ValueError(f"JSON field 'd' must be an integer, got {d!r}")
+        if d != b.shape[0]:
+            raise ValueError(f"JSON declares d={d} but b has {b.shape[0]} rows")
     else:
         raise ValueError(f"unknown format {format!r}")
     return StdDevProfile(d=b.shape[0], b=b)

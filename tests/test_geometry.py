@@ -449,3 +449,33 @@ class TestStackedViolationScan:
         np.testing.assert_array_equal(units[0, 1], [0.6, 0.0, 0.8])
         np.testing.assert_allclose(units[1, 0], np.array([1.0, 2.0, 2.0]) / 3.0, rtol=1e-15)
         assert np.array_equal(x[0, 0], np.zeros(3))  # the input is left alone
+
+
+class TestRowStackKernels:
+    # The kernels' promise: each row of a (k, d) stack holds the bits of
+    # the one-trial (d,) call on that row.
+    @pytest.mark.parametrize("d", [1, 2, 9, 32])
+    def test_each_row_equals_the_one_trial_call(self, d):
+        b2 = random_profile(d, seed=d).variance_matrix
+        bminus = psd_split(b2).bminus
+        # (v, w) interleaved per trial, as violation_scan lays them out
+        v, w = np.random.default_rng([11, d]).standard_normal((5, 2, d)).transpose(1, 0, 2)
+        s = v * v - w * w
+        image = geometry._image(b2, v)
+        quads = geometry._quad(b2, s), geometry._quad(bminus, s)
+        image_dist_sq = geometry._image_dist_sq(b2, v, w)
+        dist_sq, quad = geometry._natural_dist_sq(b2, v, w)
+        assert image.shape == v.shape and dist_sq.shape == quad.shape == (5,)
+        for k in range(5):
+            assert np.array_equal(image[k], geometry._image(b2, v[k]))
+            assert quads[0][k] == geometry._quad(b2, s[k])
+            assert quads[1][k] == geometry._quad(bminus, s[k])
+            assert image_dist_sq[k] == geometry._image_dist_sq(b2, v[k], w[k])
+            assert (dist_sq[k], quad[k]) == geometry._natural_dist_sq(b2, v[k], w[k])
+
+    def test_ball_boundary_equals_per_angle_deform(self):
+        p = gen_bandeira(0.125)
+        rows = ball_boundary_2d(p, 4096)
+        expected = [(t, *deform(p, np.array([np.cos(t), np.sin(t)])))
+                    for t in 2.0 * np.pi * np.arange(4096) / 4096]
+        assert np.array_equal(rows, np.array(expected))

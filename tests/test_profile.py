@@ -56,6 +56,15 @@ class TestLoadProfile:
         with pytest.raises(ValueError, match="d=3"):
             load_profile('{"d": 3, "b": [[1, 0], [0, 1]]}', format="json")
 
+    @pytest.mark.parametrize("payload, shown", [
+        ('{"d": "2", "b": [[1, 0], [0, 1]]}', "'2'"),
+        ('{"d": true, "b": [[1]]}', "True"),  # bool is not counted as an int
+    ])
+    def test_json_dimension_not_an_integer(self, payload, shown):
+        with pytest.raises(ValueError) as excinfo:
+            load_profile(payload, format="json")
+        assert str(excinfo.value) == f"JSON field 'd' must be an integer, got {shown}"
+
     @pytest.mark.parametrize(
         "bad", ['{"d": 2}', "[[1, 0], [0, 1]]", '{"b": {"x": 1}}']
     )
