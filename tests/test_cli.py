@@ -100,8 +100,8 @@ class TestBoundsCommand:
         (["mc", "--family", "wigner:d=4", "--quantity", "norm"], "--replicates", "1", 2),
         (["scan", "--families", "wigner", "--dims", "4"], "--replicates", "1", 2),
         (["verify", "--check", "slice"], "--replicates", "0", 1),
-        (["verify", "--check", "equiv"], "--replicates", "1", 2),
         (["ball", "--family", "bandeira:delta=0.5"], "--points", "2", 3),
+        (["verify", "--check", "equiv"], "--replicates", "1", 2),
     ])
     def test_count_below_floor_names_the_flag(self, capsys, command, flag, value, low):
         line = _assert_input_error(capsys, command + [flag, value])
