@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from . import montecarlo, slicing
 from .profile import StdDevProfile, gamma_star, max_entry, row_l4_max_term, sigma
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "latala05_bound",
     "thm41_bound",
     "optimize_gamma",
-    "bvhrect_bound",
     "compute_bound_report",
     "DEFAULT_C",
 ]
@@ -70,27 +70,24 @@ def latala05_bound(p: StdDevProfile) -> float:
     return sigma(p) + float(np.sum(p.b ** 4)) ** 0.25
 
 
-def thm41_bound(gdot, ymax, max_entry_value: float, gamma: float) -> float:
+def thm41_bound(gdot: float, ymax: float, max_entry_value: float, gamma: float) -> float:
     """sqrt(2 + gamma + 1/gamma) * E[gdot] + sqrt(gamma) * E[ymax]
-    + 2 * max_ij b_ij.
+    + 2 * max_ij b_ij, given the means E[gdot] and E[ymax].
 
-    gdot and ymax may be McEstimates or plain means.  A Monte Carlo ymax
-    mean below 0 is clipped to 0: the exact expectation of a max of
-    centered Gaussians is nonnegative for d >= 2 (and 0 by convention when
-    the negative part vanishes), so a noise-negative term must not lower
-    the bound.
+    A Monte Carlo ymax mean below 0 is clipped to 0: the exact expectation
+    of a max of centered Gaussians is nonnegative for d >= 2 (and 0 by
+    convention when the negative part vanishes), so a noise-negative term
+    must not lower the bound.
     """
     _check_positive(gamma, "gamma")
-    gdot_mean = _mean_of(gdot)
-    ymax_mean = max(_mean_of(ymax), 0.0)
     return (
-        math.sqrt(2.0 + gamma + 1.0 / gamma) * gdot_mean
-        + math.sqrt(gamma) * ymax_mean
+        math.sqrt(2.0 + gamma + 1.0 / gamma) * gdot
+        + math.sqrt(gamma) * max(ymax, 0.0)
         + 2.0 * max_entry_value
     )
 
 
-def optimize_gamma(gdot, ymax, max_entry_value: float) -> tuple[float, float]:
+def optimize_gamma(gdot: float, ymax: float, max_entry_value: float) -> tuple[float, float]:
     """Minimize thm41_bound over gamma > 0 in closed form.
 
     With G = E[gdot] and Y = E[ymax] (clipped at 0), 2 + gamma + 1/gamma =
@@ -100,25 +97,9 @@ def optimize_gamma(gdot, ymax, max_entry_value: float) -> tuple[float, float]:
     vanishes the infimum is approached only as gamma -> 0, which
     thm41_bound cannot take, so gamma is floored at GAMMA_FLOOR.
     """
-    g, y = _mean_of(gdot), max(_mean_of(ymax), 0.0)
-    gamma = max(g / (g + y), GAMMA_FLOOR) if y > 0.0 else 1.0
+    y = max(ymax, 0.0)
+    gamma = max(gdot / (gdot + y), GAMMA_FLOOR) if y > 0.0 else 1.0
     return gamma, thm41_bound(gdot, ymax, max_entry_value, gamma)
-
-
-def bvhrect_bound(c: np.ndarray) -> float:
-    """Rectangular-profile bound: max row norm + max column norm
-    + max entry * sqrt(ln(min(d1, d2)))."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {c.shape}")
-    if np.any(c < 0):
-        raise ValueError("entries must be nonnegative")
-    if c.size == 0:
-        return 0.0
-    row_term = float(np.sqrt(np.max(np.sum(c ** 2, axis=1))))
-    col_term = float(np.sqrt(np.max(np.sum(c ** 2, axis=0))))
-    log_term = float(np.max(c)) * math.sqrt(math.log(min(c.shape)))
-    return row_term + col_term + log_term
 
 
 def compute_bound_report(
@@ -135,14 +116,11 @@ def compute_bound_report(
     terms; their (seed, replicates, stderr) are recorded in the report.
     Raises ValueError naming any bound that is negative or not finite.
     """
-    # Imported here: slicing consumes bvhrect_bound from this module.
-    from . import montecarlo, slicing
-
     gdot = montecarlo.est_gdot(p, replicates, seed)
     ymax = montecarlo.est_ymax(p, replicates, seed)
     bmax = max_entry(p)
 
-    gamma_opt, cor_opt = optimize_gamma(gdot, ymax, bmax)
+    gamma_opt, cor_opt = optimize_gamma(gdot.mean, ymax.mean, bmax)
     values = {
         "bvh": bvh_bound(p),
         "equiv_expression": equiv_expression(p),
@@ -151,7 +129,7 @@ def compute_bound_report(
         "cor_opt": cor_opt,
         "latala05": latala05_bound(p),
         "slicing_assembled": slicing.slice_assembled_bound(p),
-        "thm41": thm41_bound(gdot, ymax, bmax, gamma),
+        "thm41": thm41_bound(gdot.mean, ymax.mean, bmax, gamma),
     }
     for key, value in values.items():
         if not (np.isfinite(value) and value >= 0):
@@ -163,10 +141,6 @@ def compute_bound_report(
         "constants": {"c": c, "gamma": gamma, "gamma_star": gamma_opt},
         "mc": {"gdot": gdot.to_dict(), "ymax": ymax.to_dict(), "max_entry": bmax},
     }
-
-
-def _mean_of(estimate) -> float:
-    return float(getattr(estimate, "mean", estimate))
 
 
 def _check_positive(value: float, name: str) -> None:

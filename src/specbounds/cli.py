@@ -192,16 +192,10 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 def _cmd_mc(args) -> tuple[dict, int]:
     profile, block = _load(args)
     quantities = montecarlo.PROFILE_QUANTITIES if args.quantity == "all" else [args.quantity]
-    x_quantities = [q for q in quantities if q in montecarlo.X_QUANTITIES]
-    estimates = (montecarlo.est_x(profile, args.replicates, args.seed, x_quantities)
-                 if x_quantities else {})
-    if "gdot" in quantities:
-        estimates["gdot"] = montecarlo.est_gdot(profile, args.replicates, args.seed)
-    if "ymax" in quantities:
-        estimates["ymax"] = montecarlo.est_ymax(profile, args.replicates, args.seed)
+    estimates = montecarlo.estimate(profile, quantities, args.replicates, args.seed)
     return {
         "profile": block,
-        "estimates": {q: estimates[q].to_dict() for q in quantities},
+        "estimates": {q: e.to_dict() for q, e in estimates.items()},
         "replicates": args.replicates,
         "seed": args.seed,
     }, EXIT_OK
@@ -246,13 +240,13 @@ def _dim_token(token: str) -> int:
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
     report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
-    x = montecarlo.est_x(profile, args.replicates, args.seed)
+    x = montecarlo.estimate(profile, ("norm", "rowmax", "entrymax"), args.replicates, args.seed)
     norm, rowmax = x["norm"], x["rowmax"]
     equiv_value = report["bounds"]["equiv_expression"]
     return {
         "family": spec,
         "d": profile.d,
-        "digest": profile.digest(),
+        "digest": report["profile_digest"],
         "bounds": report["bounds"],
         "constants": report["constants"],
         "estimates": {**{q: e.to_dict() for q, e in x.items()},

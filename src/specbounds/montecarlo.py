@@ -13,11 +13,11 @@ reduction is np.mean / np.std over the replicate-indexed value array
 
 norm, rowmax, entrymax and distsq share the X tag (common random numbers):
 on each replicate they see the same X, so ||X|| >= max row norm >= max
-|X_ij| carries over to the means.  est_x estimates any of norm, rowmax and
-entrymax from one shared stack per block: each X block is drawn once and
-read by every quantity asked for, and est_norm, est_rowmax and
-est_entrymax are est_x with one quantity.  gdot and ymax have tags of
-their own, so the two terms of the Theorem 4.1 bound are independent.
+|X_ij| carries over to the means.  estimate is the one entry point for
+the profile quantities: each X block is drawn once and read by every X
+quantity asked for, and est_norm, est_rowmax and est_entrymax are
+estimate with one quantity.  gdot and ymax have tags of their own, so the
+two terms of the Theorem 4.1 bound are independent.
 
 Block rule for the norm: X_ij = 0 wherever b_ij = 0, so X is
 block-diagonal over the connected components of the profile's support
@@ -38,10 +38,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import equiv_expression
 from .geometry import _check_vector
 from .linalg import psd_split, spectral_norm
-from .profile import StdDevProfile, sigma, support_blocks
+from .profile import StdDevProfile, support_blocks
 
 __all__ = [
     "RandomStream",
@@ -50,21 +49,20 @@ __all__ = [
     "sample_X",
     "x_stacks",
     "block_norms",
-    "est_x",
+    "estimate",
     "est_norm",
     "est_rowmax",
     "est_entrymax",
     "est_gdot",
     "est_ymax",
     "est_distance_sq",
-    "equivalence_report",
     "PROFILE_QUANTITIES",
     "X_QUANTITIES",
 ]
 
 # Quantities estimated from a profile alone; distsq also needs v and w.
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
-# Profile quantities that est_x reduces from the X stacks.
+# Profile quantities that estimate reduces from the X stacks.
 X_QUANTITIES = ("norm", "rowmax", "entrymax")
 
 # Stream tags: X for norm, rowmax, entrymax and distsq; g for gdot and ymax.
@@ -148,40 +146,44 @@ def x_stacks(p: StdDevProfile, replicates: int, seed: int):
         yield sample_X(p, RandomStream(seed, X_TAG, block), k)
 
 
-def est_x(
+def estimate(
     p: StdDevProfile,
+    quantities,
     replicates: int,
     seed: int,
-    quantities=X_QUANTITIES,
 ) -> dict[str, McEstimate]:
-    """Estimates of the X quantities named in ``quantities`` (any of
-    X_QUANTITIES), keyed by name, from one pass over the X stacks: each
-    block is drawn once and read by every quantity."""
+    """Estimates of the quantities named in ``quantities`` (any of
+    PROFILE_QUANTITIES), keyed in the order asked.  The X quantities come
+    from one pass over the X stacks, each block drawn once and read by
+    every one of them; gdot and ymax come from est_gdot and est_ymax."""
     _check_replicates(replicates)
-    unknown = [q for q in quantities if q not in X_QUANTITIES]
+    unknown = [q for q in quantities if q not in PROFILE_QUANTITIES]
     if unknown:
-        raise ValueError(f"not an X quantity: {unknown[0]!r}")
-    blocks = support_blocks(p) if "norm" in quantities else None
-    values = {q: [] for q in quantities}
-    for x in x_stacks(p, replicates, seed):
-        for quantity, stacks in values.items():
-            stacks.append(_x_values(quantity, x, blocks))
-    return {q: _reduce(stacks, replicates, seed, q) for q, stacks in values.items()}
+        raise ValueError(f"not a profile quantity: {unknown[0]!r}")
+    values = {q: [] for q in quantities if q in X_QUANTITIES}
+    if values:
+        blocks = support_blocks(p) if "norm" in values else None
+        for x in x_stacks(p, replicates, seed):
+            for quantity, stacks in values.items():
+                stacks.append(_x_values(quantity, x, blocks))
+    others = {"gdot": est_gdot, "ymax": est_ymax}
+    return {q: others[q](p, replicates, seed) if q in others
+            else _reduce(values[q], replicates, seed, q) for q in quantities}
 
 
 def est_norm(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E ||X||, the expected spectral norm."""
-    return est_x(p, replicates, seed, ("norm",))["norm"]
+    return estimate(p, ("norm",), replicates, seed)["norm"]
 
 
 def est_rowmax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_i sqrt(sum_j X_ij^2), the largest row Euclidean norm."""
-    return est_x(p, replicates, seed, ("rowmax",))["rowmax"]
+    return estimate(p, ("rowmax",), replicates, seed)["rowmax"]
 
 
 def est_entrymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_ij |X_ij|."""
-    return est_x(p, replicates, seed, ("entrymax",))["entrymax"]
+    return estimate(p, ("entrymax",), replicates, seed)["entrymax"]
 
 
 def block_norms(x: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
@@ -247,40 +249,6 @@ def est_distance_sq(
     return _reduce(values, replicates, seed, "distsq")
 
 
-def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
-    """The four equivalent quantities and their pairwise ratios.
-
-    Quantities: rowmax and gdot (Monte Carlo), sigma + entrymax (closed
-    form plus Monte Carlo), and the fully closed-form expression.  For the
-    zero profile all quantities vanish and every ratio is reported as 1 by
-    convention.
-    """
-    x = est_x(p, replicates, seed, ("rowmax", "entrymax"))
-    rowmax, entrymax = x["rowmax"], x["entrymax"]
-    gdot = est_gdot(p, replicates, seed)
-    means = {
-        "rowmax": rowmax.mean,
-        "gdot": gdot.mean,
-        "sigma_plus_entrymax": sigma(p) + entrymax.mean,
-        "equiv_expression": equiv_expression(p),
-    }
-    names = list(means)
-    ratios = {
-        a: {b: _ratio(means[a], means[b]) for b in names} for a in names
-    }
-    return {
-        "means": means,
-        "ratios": ratios,
-        "estimates": {
-            "rowmax": rowmax.to_dict(),
-            "gdot": gdot.to_dict(),
-            "entrymax": entrymax.to_dict(),
-        },
-        "replicates": replicates,
-        "seed": seed,
-    }
-
-
 def _blocks(replicates: int, n: int):
     # (block, rows) pairs: replicate r is row r % K of block r // K.
     size = block_size(n)
@@ -310,9 +278,3 @@ def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
     return McEstimate(
         quantity=quantity, mean=mean, stderr=stderr, replicates=replicates, seed=seed
     )
-
-
-def _ratio(a: float, b: float) -> float:
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    return a / b

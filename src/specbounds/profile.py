@@ -115,11 +115,16 @@ def load_profile(source: str, format: str = "csv") -> StdDevProfile:
         if not isinstance(payload, dict) or "b" not in payload:
             raise ValueError("JSON payload must be an object with a 'b' field")
         try:
-            b = np.array(payload["b"], dtype=np.float64)
-        except (TypeError, OverflowError) as exc:
+            b = np.array(payload["b"], dtype=np.float64)  # a ragged b is a ValueError
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"JSON field 'b' is not a numeric matrix: {exc}") from exc
         if b.ndim != 2:
             raise ValueError("JSON field 'b' is not a matrix")
+        # numpy reads "1" and true as 1.0; only JSON numbers are entries
+        bad = [x for row in payload["b"] for x in row if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f"JSON field 'b' is not a numeric matrix: "
+                             f"{json.dumps(bad[0])} is not a number")
         d = payload.get("d", b.shape[0])
         if type(d) is not int:  # not isinstance: true would pass as d = 1
             raise ValueError(f"JSON field 'd' must be an integer, got {d!r}")

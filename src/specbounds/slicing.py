@@ -5,7 +5,7 @@ upper edges are 4, 16, 256, ...: band 1 covers rows 1..4 and band n >= 2
 covers rows 2^(2^(n-1)) + 1 .. 2^(2^n), truncated at d.  Dimensions up to
 4 form a single degenerate band.  All slice profiles are taken on the
 rearranged profile, matching the construction the assembled bound relies
-on.
+on; each slice is bounded by the rectangular-profile bound bvhrect_bound.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import math
 
 import numpy as np
 
-from .bounds import bvhrect_bound
 from .linalg import operator_norm
-from .montecarlo import _ratio, block_norms, x_stacks
+from .montecarlo import block_norms, x_stacks
 from .profile import StdDevProfile, rearrange, support_blocks
 
 __all__ = [
     "slice_bands",
     "decompose",
+    "bvhrect_bound",
     "slice_assembled_bound",
     "verify_slice_inequality",
     "decomposition_summary",
@@ -44,6 +44,22 @@ def decompose(p: StdDevProfile) -> tuple:
     band of slice_bands(p.d)."""
     low = np.tril(rearrange(p).b)
     return tuple(low[lo - 1 : hi, :] for lo, hi in slice_bands(p.d))
+
+
+def bvhrect_bound(c: np.ndarray) -> float:
+    """Rectangular-profile bound: max row norm + max column norm
+    + max entry * sqrt(ln(min(d1, d2)))."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {c.shape}")
+    if np.any(c < 0):
+        raise ValueError("entries must be nonnegative")
+    if c.size == 0:
+        return 0.0
+    row_term = float(np.sqrt(np.max(np.sum(c ** 2, axis=1))))
+    col_term = float(np.sqrt(np.max(np.sum(c ** 2, axis=0))))
+    log_term = float(np.max(c)) * math.sqrt(math.log(min(c.shape)))
+    return row_term + col_term + log_term
 
 
 def slice_assembled_bound(p: StdDevProfile) -> float:
@@ -126,3 +142,9 @@ def _trim_vanishing(profile: np.ndarray) -> np.ndarray:
     rows = np.any(profile != 0.0, axis=1)
     cols = np.any(profile != 0.0, axis=0)
     return profile[np.ix_(rows, cols)]
+
+
+def _ratio(a: float, b: float) -> float:
+    if a == 0.0 and b == 0.0:
+        return 1.0
+    return a / b

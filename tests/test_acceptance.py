@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from specbounds.checks import equivalence_report
 from specbounds.cli import basic_corpus, main
 from specbounds.generators import (
     gen_bandeira,
@@ -30,7 +31,6 @@ from specbounds.geometry import (
 )
 from specbounds.linalg import psd_split, spectral_norm, split_invariant_violations
 from specbounds.montecarlo import (
-    equivalence_report,
     est_distance_sq,
     est_gdot,
     est_norm,

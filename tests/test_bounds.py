@@ -7,7 +7,6 @@ from specbounds import bounds
 from specbounds.bounds import (
     BOUND_IDS,
     bvh_bound,
-    bvhrect_bound,
     compute_bound_report,
     cor_sharp_bound,
     equiv_expression,
@@ -17,14 +16,10 @@ from specbounds.bounds import (
     thm41_bound,
 )
 from specbounds.generators import gen_diagonal_unit, gen_wigner, random_profile
-from specbounds.montecarlo import McEstimate
 from specbounds.profile import StdDevProfile
+from specbounds.slicing import bvhrect_bound
 
 ZERO3 = StdDevProfile(3, np.zeros((3, 3)))
-
-
-def _estimate(mean, quantity="gdot"):
-    return McEstimate(mean=mean, stderr=0.0, replicates=2, seed=0, quantity=quantity)
 
 
 class TestBvhBound:
@@ -106,58 +101,55 @@ class TestLatala05Bound:
 
 class TestThm41Bound:
     def test_posdef_form(self):
-        assert thm41_bound(_estimate(1.0), _estimate(0.0), 0.0, 1.0) == pytest.approx(2.0)
+        assert thm41_bound(1.0, 0.0, 0.0, 1.0) == pytest.approx(2.0)
 
     def test_ymax_and_entry_terms(self):
-        assert thm41_bound(_estimate(0.0), _estimate(1.0), 1.0, 1.0) == pytest.approx(3.0)
+        assert thm41_bound(0.0, 1.0, 1.0, 1.0) == pytest.approx(3.0)
 
     def test_gamma_one_minimizes_without_ymax(self):
-        values = [thm41_bound(_estimate(1.0), _estimate(0.0), 0.5, g)
-                  for g in (0.3, 0.7, 1.0, 1.5, 4.0)]
+        values = [thm41_bound(1.0, 0.0, 0.5, g) for g in (0.3, 0.7, 1.0, 1.5, 4.0)]
         assert min(values) == values[2]
 
     def test_negative_ymax_mean_is_clipped(self):
-        clipped = thm41_bound(_estimate(1.0), _estimate(-0.3), 0.0, 1.0)
-        assert clipped == thm41_bound(_estimate(1.0), _estimate(0.0), 0.0, 1.0)
+        clipped = thm41_bound(1.0, -0.3, 0.0, 1.0)
+        assert clipped == thm41_bound(1.0, 0.0, 0.0, 1.0)
 
     def test_accepts_plain_floats(self):
         assert thm41_bound(1.0, 0.0, 0.0, 1.0) == pytest.approx(2.0)
 
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
-            thm41_bound(_estimate(1.0), _estimate(0.0), 0.0, -1.0)
+            thm41_bound(1.0, 0.0, 0.0, -1.0)
 
 
 class TestOptimizeGamma:
     def test_zero_ymax_returns_gamma_one(self):
-        gamma, bound = optimize_gamma(_estimate(1.0), _estimate(0.0), 0.25)
+        gamma, bound = optimize_gamma(1.0, 0.0, 0.25)
         assert gamma == 1.0
         assert bound == pytest.approx(2.5)
 
     def test_grid_floor_when_only_ymax(self):
-        gamma, bound = optimize_gamma(_estimate(0.0), _estimate(1.0), 0.0)
+        gamma, bound = optimize_gamma(0.0, 1.0, 0.0)
         assert gamma == pytest.approx(1e-6)
         assert bound == pytest.approx(math.sqrt(1e-6), rel=1e-9)
 
     def test_mixed_terms_bounded_by_gamma_one_value(self):
-        _, bound = optimize_gamma(_estimate(1.0), _estimate(1.0), 0.0)
+        _, bound = optimize_gamma(1.0, 1.0, 0.0)
         assert bound <= 3.0
 
     def test_against_dense_grid_oracle(self):
         # independent oracle: brute-force minimum on a much finer log grid
         for gdot, ymax, entry in ((1.0, 1.0, 0.0), (0.2, 3.0, 0.1), (5.0, 0.4, 1.0)):
             dense = np.logspace(-6, 6, 200001)
-            oracle = min(
-                thm41_bound(_estimate(gdot), _estimate(ymax), entry, g) for g in dense
-            )
-            _, bound = optimize_gamma(_estimate(gdot), _estimate(ymax), entry)
+            oracle = min(thm41_bound(gdot, ymax, entry, g) for g in dense)
+            _, bound = optimize_gamma(gdot, ymax, entry)
             assert bound == pytest.approx(oracle, rel=1e-6)
 
     def test_closed_form_optimum(self):
         # t = sqrt(gamma) turns the bound into t (G + Y) + G / t + 2m
         for gdot, ymax, entry in ((1.0, 1.0, 0.0), (0.2, 3.0, 0.1), (5.0, 0.4, 1.0),
                                   (1e-3, 7.0, 2.0)):
-            gamma, bound = optimize_gamma(_estimate(gdot), _estimate(ymax), entry)
+            gamma, bound = optimize_gamma(gdot, ymax, entry)
             assert gamma == pytest.approx(gdot / (gdot + ymax), rel=1e-12)
             expected = 2.0 * math.sqrt(gdot * (gdot + ymax)) + 2.0 * entry
             assert bound == pytest.approx(expected, rel=1e-12)

@@ -1,0 +1,44 @@
+"""The modules of specbounds import each other without a cycle, and only at
+module level, so each layer can be read and tested below the ones that use
+it."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import specbounds
+
+PACKAGE = Path(specbounds.__file__).parent
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    # Every module named by a relative import anywhere in the file:
+    # "from .profile import x" names profile, "from . import bounds" names bounds.
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: _relative_imports(tree) for name, tree in _trees().items()}
+    list(TopologicalSorter(graph).static_order())  # CycleError names the cycle
+
+
+def test_no_function_body_imports():
+    found = [f"{name}.{node.name} imports {ast.unparse(inner)}"
+             for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []

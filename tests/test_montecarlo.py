@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specbounds import cli, montecarlo
+from specbounds.checks import equivalence_report
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_decay,
@@ -24,14 +25,13 @@ from specbounds.montecarlo import (
     RandomStream,
     block_norms,
     block_size,
-    equivalence_report,
     est_distance_sq,
     est_entrymax,
     est_gdot,
     est_norm,
     est_rowmax,
-    est_x,
     est_ymax,
+    estimate,
     sample_X,
     x_stacks,
 )
@@ -284,7 +284,7 @@ class TestEstX:
     def test_matches_single_quantity_estimators(self, kind, d):
         p = self.PROFILES[kind](d)
         replicates = 2 * _documented_k(d * (d + 1) // 2) + 3
-        fused = est_x(p, replicates, self.SEED)
+        fused = estimate(p, ("norm", "rowmax", "entrymax"), replicates, self.SEED)
         assert list(fused) == ["norm", "rowmax", "entrymax"]
         for fn in (est_norm, est_rowmax, est_entrymax):
             single = fn(p, replicates, self.SEED)
@@ -292,19 +292,27 @@ class TestEstX:
 
     def test_subset_in_requested_order(self):
         p = gen_wigner(5)
-        fused = est_x(p, 30, self.SEED, ("entrymax", "norm"))
+        fused = estimate(p, ("entrymax", "norm"), 30, self.SEED)
         assert list(fused) == ["entrymax", "norm"]
         assert fused["norm"].to_dict() == est_norm(p, 30, self.SEED).to_dict()
+
+    def test_gdot_and_ymax_mixed_in(self):
+        p = parse_family_spec("kronecker_flip:d=6,seed=1")
+        mixed = estimate(p, ("ymax", "entrymax", "gdot"), 30, self.SEED)
+        assert list(mixed) == ["ymax", "entrymax", "gdot"]
+        for fn in (est_ymax, est_entrymax, est_gdot):
+            single = fn(p, 30, self.SEED)
+            assert mixed[single.quantity].to_dict() == single.to_dict()
 
     def test_replicate_floor_draws_nothing(self, monkeypatch):
         calls = _count_sample_X(monkeypatch)
         with pytest.raises(ValueError, match="replicates must be >= 2"):
-            est_x(gen_wigner(4), 1, self.SEED)
+            estimate(gen_wigner(4), ("norm", "rowmax", "entrymax"), 1, self.SEED)
         assert calls == []
 
     def test_unknown_quantity_is_rejected(self):
-        with pytest.raises(ValueError, match="gdot"):
-            est_x(gen_wigner(4), 10, self.SEED, ("norm", "gdot"))
+        with pytest.raises(ValueError, match="sigma"):
+            estimate(gen_wigner(4), ("norm", "sigma"), 10, self.SEED)
 
 
 class TestEachXBlockDrawnOnce:
@@ -521,7 +529,7 @@ class TestBlockNorms:
     def test_diagonal_decay_256_needs_no_full_eigensolve(self, monkeypatch):
         p = gen_diagonal_decay(256)
         shapes = _record_spectral_norm_shapes(monkeypatch)
-        est = est_x(p, 30, self.SEED)
+        est = estimate(p, ("norm", "rowmax", "entrymax"), 30, self.SEED)
         assert shapes and all(shape[1:] == (1, 1) for shape in shapes)
         # 1 x 1 eigensolves return |X_ii| exactly
         assert est["norm"].to_dict() == {**est["entrymax"].to_dict(), "quantity": "norm"}
@@ -585,7 +593,7 @@ class TestExactOracles:
         # block path in the same pass that reads entrymax
         p = parse_family_spec("sparse_random:d=64,density=0.03,seed=2")
         assert [b.shape for b in support_blocks(p)] == [(7, 1), (1, 57)]
-        est = est_x(p, 2000, self.SEED)
+        est = estimate(p, ("norm", "rowmax", "entrymax"), 2000, self.SEED)
         assert abs(est["entrymax"].mean - _entrymax_oracle(p)) <= 5.0 * est["entrymax"].stderr
         assert est["norm"].mean >= est["rowmax"].mean >= est["entrymax"].mean
 

@@ -66,7 +66,8 @@ class TestLoadProfile:
         assert str(excinfo.value) == f"JSON field 'd' must be an integer, got {shown}"
 
     @pytest.mark.parametrize(
-        "bad", ['{"d": 2}', "[[1, 0], [0, 1]]", '{"b": {"x": 1}}']
+        "bad", ['{"d": 2}', "[[1, 0], [0, 1]]", '{"b": {"x": 1}}', '{"b": [["1"]]}',
+                '{"b": [[true]]}', '{"b": [[1, 2], [2]]}']
     )
     def test_malformed_json_rejected(self, bad):
         with pytest.raises(ValueError, match="'b'"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specbounds import montecarlo, slicing
-from specbounds.bounds import bvhrect_bound
 from specbounds.generators import (
     gen_band,
     gen_diagonal_decay,
@@ -16,6 +15,7 @@ from specbounds.generators import (
 from specbounds.montecarlo import est_norm
 from specbounds.profile import StdDevProfile, gamma_star, rearrange
 from specbounds.slicing import (
+    bvhrect_bound,
     decompose,
     decomposition_summary,
     slice_assembled_bound,
