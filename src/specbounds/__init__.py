@@ -8,20 +8,3 @@ norm bounds attached to such profiles, estimates the matching stochastic
 quantities by seeded Monte Carlo, and verifies the geometric inequalities
 relating them as executable properties.
 """
-
-from .profile import StdDevProfile, load_profile, sigma, rearrange
-from .montecarlo import McEstimate, RandomStream
-from .linalg import SpectralSplit, psd_split, spectral_norm, sym_eig
-
-__all__ = [
-    "StdDevProfile",
-    "load_profile",
-    "sigma",
-    "rearrange",
-    "McEstimate",
-    "RandomStream",
-    "SpectralSplit",
-    "psd_split",
-    "spectral_norm",
-    "sym_eig",
-]

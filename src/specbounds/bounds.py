@@ -53,7 +53,9 @@ def equiv_expression(p: StdDevProfile) -> float:
 
 
 def remark_upper(p: StdDevProfile, c: float = DEFAULT_C) -> float:
-    """sigma + C * max_ij bstar_ij sqrt(ln(i+1)): leading constant one."""
+    """sigma + C * max_ij bstar_ij sqrt(ln(i+1)), an order expression: on
+    wigner:d it is sqrt(d) + C sqrt(ln(d+1)) while E||X|| ~ 2 sqrt(d), so no
+    C makes it an upper bound at every d."""
     _check_positive(c, "c")
     return sigma(p) + c * gamma_star(p, offset=1)
 

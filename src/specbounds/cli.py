@@ -34,14 +34,10 @@ DEFAULT_SLICE_FAMILIES = ["wigner:d=64", "diagonal_decay:d=256"]
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves 2 for
-    # verification failures, so usage errors are remapped to 1.
+    # verification failures, so main reports usage errors as input errors.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    pass
+        raise ValueError(message)
 
 
 @functools.cache
@@ -50,26 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="specbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("bounds", help="closed-form bound report for one profile")
+    # The run flags of bounds, mc and scan; verify keeps its own --replicates floor of 1.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--replicates", type=_int_at_least(2), default=200,
+                     help="Monte Carlo replicates per estimate")
+    run.add_argument("--seed", type=_int_at_least(0), default=0)
+    run.add_argument("--workers", type=_int_at_least(1), default=1,
+                     help="accepted for compatibility; replicates run serially "
+                          "and results do not depend on it")
+    run.add_argument("--out", type=Path)
+
+    pb = sub.add_parser("bounds", parents=[run], help="closed-form bound report for one profile")
     _add_profile_flags(pb)
     pb.add_argument("--c", type=_finite_float(positive=True), default=bounds.DEFAULT_C,
                     help="universal constant for the C-carrying bounds")
     pb.add_argument("--gamma", type=_finite_float(positive=True), default=1.0,
                     help="gamma for the fixed-gamma comparison bound")
-    pb.add_argument("--replicates", type=_int_at_least(2), default=200,
-                    help="replicates for the two Monte Carlo bound inputs")
-    pb.add_argument("--seed", type=_int_at_least(0), default=0)
-    _add_workers_flag(pb)
-    pb.add_argument("--out", type=Path)
 
-    pm = sub.add_parser("mc", help="Monte Carlo estimate of one quantity")
+    pm = sub.add_parser("mc", parents=[run], help="Monte Carlo estimate of one quantity")
     _add_profile_flags(pm)
     pm.add_argument("--quantity", required=True,
                     choices=[*montecarlo.PROFILE_QUANTITIES, "all"])
-    pm.add_argument("--replicates", type=_int_at_least(2), default=200)
-    pm.add_argument("--seed", type=_int_at_least(0), default=0)
-    _add_workers_flag(pm)
-    pm.add_argument("--out", type=Path)
 
     pv = sub.add_parser("verify", help="run one verification suite")
     pv.add_argument("--check", required=True,
@@ -87,28 +84,19 @@ def build_parser() -> argparse.ArgumentParser:
     pball.add_argument("--points", type=_int_at_least(3), default=256)
     pball.add_argument("--out", type=Path)
 
-    ps = sub.add_parser("scan", help="bounds + MC quantities over families x dims")
+    ps = sub.add_parser("scan", parents=[run], help="bounds + MC quantities over families x dims")
     ps.add_argument("--families", required=True,
                     help="comma-separated family specs, e.g. wigner,sparse_random:density=0.3,seed=1; "
                          "a key=value token continues the family before it")
     ps.add_argument("--dims", required=True,
                     help="comma-separated dimensions, e.g. 16,64")
-    ps.add_argument("--replicates", type=_int_at_least(2), default=200)
-    ps.add_argument("--seed", type=_int_at_least(0), default=0)
-    _add_workers_flag(ps)
-    ps.add_argument("--out", type=Path)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    started = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         handler = {"bounds": _cmd_bounds, "mc": _cmd_mc, "verify": _cmd_verify,
                    "ball": _cmd_ball, "scan": _cmd_scan}[args.command]
         report, status = handler(args)
@@ -138,12 +126,6 @@ def _add_profile_flags(parser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", type=Path, help="profile file (CSV or JSON)")
     group.add_argument("--family", help="family spec, e.g. wigner:d=16")
-
-
-def _add_workers_flag(parser) -> None:
-    parser.add_argument("--workers", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility; replicates run serially "
-                             "and results do not depend on it")
 
 
 def _int_at_least(low: int):

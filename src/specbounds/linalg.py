@@ -20,9 +20,9 @@ __all__ = [
     "operator_norm",
 ]
 
-# Negative eigenvalues above -CLIP_REL * (1 + ||B||_F) are treated as zero
-# when building the low-rank factor, preventing spurious rank on near-PSD
-# input.
+# Negative eigenvalues above -CLIP_REL * ||B||_F are treated as zero when
+# building the low-rank factor, preventing spurious rank on near-PSD input.
+# The threshold scales with B, so rank(B-) does not depend on the units of b.
 CLIP_REL = 1e-12
 
 
@@ -61,7 +61,7 @@ def psd_split(b: np.ndarray) -> SpectralSplit:
     neg = np.maximum(-eigenvalues, 0.0)
     bplus = (eigenvectors * pos) @ eigenvectors.T
     bminus = (eigenvectors * neg) @ eigenvectors.T
-    clip = CLIP_REL * (1.0 + np.linalg.norm(b, "fro"))
+    clip = CLIP_REL * np.linalg.norm(b, "fro")
     keep = eigenvalues < -clip
     factor_l = eigenvectors[:, keep] * np.sqrt(-eigenvalues[keep])
     return SpectralSplit(

@@ -6,6 +6,9 @@ covers rows 2^(2^(n-1)) + 1 .. 2^(2^n), truncated at d.  Dimensions up to
 4 form a single degenerate band.  All slice profiles are taken on the
 rearranged profile, matching the construction the assembled bound relies
 on; each slice is bounded by the rectangular-profile bound bvhrect_bound.
+rearrange orders rows with equal maxima by index, and slice_assembled_bound
+depends on that tie order: relabelling a profile with tied row maxima can
+move it, though every tie order gives a valid bound.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ against reference loops over the public geometry functions and against the
 import json
 import math
 
+import numpy as np
+import pytest
+
 from specbounds import checks
 from specbounds.checks import basic_corpus
 from specbounds.cli import main
@@ -49,3 +52,19 @@ def test_family_checks_match_report(capsys):
     for check, spec in ((checks.slice, "diagonal_decay:d=20"), (checks.equiv, "wigner:d=8")):
         report = _verify(capsys, check.__name__, "--family", spec, "--replicates", "20")
         assert check([spec], 20, 0) == (report["failures"], {"reports": report["reports"]})
+
+
+def test_basic_corpus_cycles_support_density():
+    # densities 1, 0.6 and 0.3 in turn: the zero entries of the first 300
+    # profiles, out of 30790
+    zeros = sum(int(np.count_nonzero(p.b == 0.0)) for p, *_ in basic_corpus(300, 0))
+    assert zeros == 11582
+
+
+@pytest.mark.parametrize("ratio, fails", [(12.0, True), (0.09, True), (9.9, False)])
+def test_equiv_envelope_is_one_tenth_to_ten(monkeypatch, ratio, fails):
+    monkeypatch.setattr(checks, "equivalence_report",
+                        lambda *args: {"ratios": {"rowmax": {"gdot": ratio}}})
+    failures, _ = checks.equiv(["wigner:d=2"], 2, 0)
+    assert failures == ([{"family": "wigner:d=2", "pair": ["rowmax", "gdot"], "ratio": ratio}]
+                        if fails else [])

@@ -403,6 +403,16 @@ class TestScanCommand:
             assert "conjecture_ratio" in row and "norm_over_rowmax" in row
             assert set(row["estimates"]) == {"norm", "rowmax", "entrymax", "gdot", "ymax"}
 
+    def test_conjecture_ratio_is_norm_over_equiv_expression(self, capsys):
+        _, report = _run_json(
+            capsys,
+            ["scan", "--families", "band:w=3,diagonal_decay", "--dims", "16",
+             "--replicates", "20", "--seed", "3"],
+        )
+        for row in report["rows"]:
+            assert row["conjecture_ratio"] == (row["estimates"]["norm"]["mean"]
+                                               / row["bounds"]["equiv_expression"])
+
     def test_scan_lower_bound_inequality(self, capsys):
         # rowmax <= norm within Monte Carlo resolution on every scanned row
         _, report = _run_json(

@@ -42,3 +42,10 @@ def test_no_function_body_imports():
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_package_root_imports_nothing():
+    # Names are imported from their modules; the root only documents the package.
+    tree = _trees()["__init__"]
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []

@@ -127,6 +127,19 @@ class TestEstimators:
         est = est_ymax(gen_bandeira(0.01), 2000, 1)
         assert est.mean > 0.0
 
+    @pytest.mark.parametrize("spec", ["wigner:d=16", "band:d=16,w=3", "kronecker_flip:d=16,seed=9",
+                                      "sparse_random:d=32,density=0.35,seed=9"])
+    @pytest.mark.parametrize("e", [-24, -20, -16, -1, 1, 160])
+    def test_est_ymax_scales_with_the_profile(self, spec, e):
+        # B scales by 4^e and the psd_split clip with it, so rank(B-) and
+        # every draw are unchanged and Y scales by exactly 2^e
+        p = parse_family_spec(spec)
+        scaled = StdDevProfile(p.d, np.ldexp(p.b, e))
+        rank = psd_split(p.variance_matrix).factor_l.shape[1]
+        assert psd_split(scaled.variance_matrix).factor_l.shape[1] == rank
+        est, got = est_ymax(p, 40, 5), est_ymax(scaled, 40, 5)
+        assert (got.mean, got.stderr) == (np.ldexp(est.mean, e), np.ldexp(est.stderr, e))
+
     def test_replicate_floor(self):
         with pytest.raises(ValueError, match="replicates"):
             est_norm(gen_wigner(2), 1, 0)

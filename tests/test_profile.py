@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbounds.generators import (
+    gen_diagonal_decay,
     gen_diagonal_unit,
     gen_wigner,
     parse_family_spec,
@@ -246,6 +247,14 @@ class TestGammaStar:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             gamma_star(gen_diagonal_unit(2), 2)
+
+    @pytest.mark.parametrize("d", [5, 20, 300])
+    def test_diagonal_decay_pairs_largest_row_with_first_weight(self, d):
+        # b*_ii = ln(i+1)^(-1/2) is already nonincreasing, so the largest
+        # term is row d's; ascending row maxima would give sqrt(ln d / ln 2)
+        assert gamma_star(gen_diagonal_decay(d), 0) == pytest.approx(
+            math.sqrt(math.log(d) / math.log(d + 1)), rel=1e-15
+        )
 
 
 class TestRowL4MaxTerm:

@@ -103,6 +103,15 @@ class TestAssembledBound:
         summary = decomposition_summary(p)
         assert summary["slices"][1]["effective_shape"] == [12, 12]
 
+    def test_zero_row_of_a_slice_is_trimmed(self):
+        # ones on the leading 6 x 6 block, row and column 7 zero: slice 2
+        # (rows 5..7) trims to 2 x 6, so its log term is sqrt(ln 2), not sqrt(ln 3)
+        b = np.zeros((7, 7))
+        b[:6, :6] = 1.0
+        second = decomposition_summary(StdDevProfile(7, b))["slices"][1]
+        assert second["effective_shape"] == [2, 6]
+        assert second["bvhrect"] == math.sqrt(6.0) + math.sqrt(2.0) + math.sqrt(math.log(2.0))
+
     def test_sound_for_generated_families(self):
         for p in (
             gen_wigner(24),
