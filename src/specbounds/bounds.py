@@ -15,6 +15,7 @@ from .profile import StdDevProfile, gamma_star, max_entry, row_l4_max_term, sigm
 
 __all__ = [
     "BOUND_IDS",
+    "BOUND_KINDS",
     "bvh_bound",
     "equiv_expression",
     "remark_upper",
@@ -38,6 +39,20 @@ BOUND_IDS = (
     "slicing_assembled",
     "thm41",
 )
+
+# What each bound id claims.  "explicit": E||X|| <= bound holds with the
+# stated constants.  "order": E||X|| is within an unnamed universal constant
+# of it.  The kind stays out of the reports.
+BOUND_KINDS = {
+    "bvh": "order",
+    "equiv_expression": "order",
+    "remark_upper": "order",
+    "cor_sharp": "order",
+    "cor_opt": "explicit",
+    "latala05": "order",
+    "slicing_assembled": "order",
+    "thm41": "explicit",
+}
 
 GAMMA_FLOOR = 1e-6
 

@@ -1,35 +1,62 @@
 """The verification suites behind `specbounds verify`: pure functions that
 return (failures, details), the failure records and the report fields, and
-the equivalence report that the equiv suite reads."""
+the equivalence report that the equiv suite reads.
+
+The corpus suites build their per-trial streams in batches through
+seeding._streams; each equals the default_rng([seed, t]) stream it
+replaces.  The basic and comparison suites read basic_corpus in chunks,
+group each chunk by d and evaluate the geometry kernels on (k, d, d)
+stacks, with one stacked eigensolve for B- in the comparison suite.  Each
+value keeps the bits of the per-trial public call, and the failures come
+in trial order, capped at 20, as a per-trial loop gives them.
+"""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from . import bounds, geometry, linalg, montecarlo, slicing
-from .generators import parse_family_spec, random_profile, random_symmetric
+from .generators import _random_profile, _random_symmetric, parse_family_spec
 from .profile import StdDevProfile, sigma
+from .seeding import _streams
 
 RATIO_ENVELOPE = 10.0
+
+# Corpus trials whose streams are built, and whose basic and comparison
+# checks run, in one batch.
+_CHUNK = 1024
 
 
 def basic_corpus(trials: int, seed: int):
     """Random (profile, v, w, gamma) tuples: d in 2..16, gamma cycling
     {0.1, 1, 10}, support density cycling {1, 0.6, 0.3}."""
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        d = int(rng.integers(2, 17))
-        profile = random_profile(d, seed=seed * 1_000_003 + t,
-                                 density=(1.0, 0.6, 0.3)[(t // 3) % 3])
-        yield profile, rng.standard_normal(d), rng.standard_normal(d), (0.1, 1.0, 10.0)[t % 3]
+    for t, rng, d, profile_rng in _trial_streams(trials, seed, 17):
+        profile = _random_profile(d, profile_rng, (1.0, 0.6, 0.3)[(t // 3) % 3])
+        v, w = rng.standard_normal((2, d))  # v's d normals, then w's
+        yield profile, v, w, (0.1, 1.0, 10.0)[t % 3]
 
 
-def _capped(cases, test, margin_key) -> tuple[list, dict]:
-    # test(t, *case) -> (scaled margin, failure record or None), in trial order
-    # up to the 20th failure; details name the least margin under margin_key.
+def _trial_streams(trials: int, seed: int, d_stop: int):
+    # (t, rng, d, inner) for each trial t: rng = default_rng([seed, t]),
+    # d = rng.integers(2, d_stop), and inner = default_rng([seed * 1_000_003
+    # + t, d]), the stream of trial t's random matrix.  The streams are
+    # built _CHUNK trials at a time.
+    for start in range(0, trials, _CHUNK):
+        ts = range(start, min(start + _CHUNK, trials))
+        streams = _streams([seed, t] for t in ts)
+        ds = [int(rng.integers(2, d_stop)) for rng in streams]
+        inner = _streams([seed * 1_000_003 + t, d] for t, d in zip(ts, ds))
+        yield from zip(ts, streams, ds, inner)
+
+
+def _capped(results, margin_key) -> tuple[list, dict]:
+    # results yields (scaled margin, failure record or None) in trial order;
+    # stops at the 20th failure, and details name the least margin seen
+    # under margin_key.
     failures, worst = [], np.inf
-    for t, case in enumerate(cases):
-        margin, failure = test(t, *case)
+    for margin, failure in results:
         worst = min(worst, margin)
         if failure is not None:
             failures.append(failure)
@@ -38,41 +65,61 @@ def _capped(cases, test, margin_key) -> tuple[list, dict]:
     return failures, {margin_key: float(worst)} if margin_key else {}
 
 
+def _corpus_results(trials: int, seed: int, test):
+    # (scaled margin, failure record or None) for each basic_corpus trial,
+    # in trial order.  The corpus is read _CHUNK trials at a time and each
+    # chunk is grouped by d: test(b2, v, w, gamma) gets the (k, d, d) stack
+    # of variance matrices, the (k, d) stacks of v and w and the (k,) gammas,
+    # and returns the k margins, the k failure flags and the named (k,)
+    # values that a failure record carries.
+    cases = basic_corpus(trials, seed)
+    start = 0
+    while chunk := list(itertools.islice(cases, _CHUNK)):
+        groups = {}
+        for k, (profile, *_) in enumerate(chunk):
+            groups.setdefault(profile.d, []).append(k)
+        margins, records = np.empty(len(chunk)), [None] * len(chunk)
+        for d, rows in groups.items():
+            profiles, v, w, gamma = zip(*(chunk[k] for k in rows))
+            margins[rows], failing, named = test(np.array([p.b for p in profiles]) ** 2,
+                                                 np.array(v), np.array(w), np.array(gamma))
+            for i in np.flatnonzero(failing).tolist():
+                records[rows[i]] = {"trial": start + rows[i], "d": d, "gamma": gamma[i],
+                                    **{key: float(value[i]) for key, value in named.items()}}
+        yield from zip(margins.tolist(), records)
+        start += len(chunk)
+
+
 def basic(trials: int, seed: int, tol: float) -> tuple[list, dict]:
     """The deformation-map gap (geometry.basic_gap) is >= 0 on basic_corpus."""
-    def test(t, profile, v, w, gamma):
-        lhs = geometry.natural_dist_sq(profile, v, w)
-        gap = geometry.basic_gap(profile, v, w, gamma)
+    def test(b2, v, w, gamma):
+        lhs, quad = geometry._natural_dist_sq(b2, v, w)
+        gap = geometry._basic_gap(b2, v, w, gamma, lhs, quad)
         scale = 1.0 + abs(gap + lhs) + abs(lhs)
-        record = {"trial": t, "d": profile.d, "gamma": gamma, "gap": gap, "scale": scale}
-        return gap / scale, record if gap < -tol * scale else None
-    return _capped(basic_corpus(trials, seed), test, "min_scaled_gap")
+        return gap / scale, gap < -tol * scale, {"gap": gap, "scale": scale}
+    return _capped(_corpus_results(trials, seed, test), "min_scaled_gap")
 
 
 def comparison(trials: int, seed: int, tol: float) -> tuple[list, dict]:
     """The comparison distance dominates the natural one on basic_corpus."""
-    def test(t, profile, v, w, gamma):
-        split = linalg.psd_split(profile.variance_matrix)
-        nat = geometry.natural_dist_sq(profile, v, w)
-        comp = geometry.comparison_dist_sq(profile, split, v, w, gamma)
+    def test(b2, v, w, gamma):
+        nat, _ = geometry._natural_dist_sq(b2, v, w)
+        comp = geometry._comparison_dist_sq(b2, linalg._bminus(b2), v, w, gamma)
         scale = 1.0 + abs(comp) + abs(nat)
-        record = {"trial": t, "d": profile.d, "gamma": gamma, "comparison": comp, "natural": nat}
-        return (comp - nat) / scale, record if comp < nat - tol * scale else None
-    return _capped(basic_corpus(trials, seed), test, "min_scaled_slack")
+        return (comp - nat) / scale, comp < nat - tol * scale, {"comparison": comp,
+                                                                 "natural": nat}
+    return _capped(_corpus_results(trials, seed, test), "min_scaled_slack")
 
 
 def split(trials: int, seed: int) -> tuple[list, dict]:
     """The B = B+ - B- invariants on random symmetric matrices, d in 2..32."""
-    def cases():
-        for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            d = int(rng.integers(2, 33))
+    def results():
+        for t, rng, d, matrix_rng in _trial_streams(trials, seed, 33):
             scale = float(rng.choice([0.01, 1.0, 100.0]))
-            yield d, random_symmetric(d, seed=seed * 1_000_003 + t, scale=scale)
-    def test(t, d, a):
-        problems = linalg.split_invariant_violations(a, linalg.psd_split(a))
-        return 0.0, {"trial": t, "d": d, "problems": problems} if problems else None
-    return _capped(cases(), test, None)
+            a = _random_symmetric(d, matrix_rng, scale)
+            problems = linalg.split_invariant_violations(a, linalg.psd_split(a))
+            yield 0.0, {"trial": t, "d": d, "problems": problems} if problems else None
+    return _capped(results(), None)
 
 
 def _per_family(families, test) -> tuple[list, dict]:

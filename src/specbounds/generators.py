@@ -115,7 +115,12 @@ def random_profile(d: int, seed: int, density: float = 1.0) -> StdDevProfile:
     """Stress profile with |N(0,1)| entries and optional Bernoulli support,
     symmetric by mirroring the upper triangle.  Pure in (d, seed, density)."""
     _check_dim(d)
-    rng = np.random.default_rng([seed, d])
+    return _random_profile(d, np.random.default_rng([seed, d]), density)
+
+
+def _random_profile(d: int, rng: np.random.Generator, density: float) -> StdDevProfile:
+    # random_profile's body, drawing from the stream default_rng([seed, d])
+    # or its equal from seeding._streams.
     b = np.abs(rng.standard_normal((d, d)))
     if density < 1.0:
         b *= rng.random((d, d)) < density
@@ -135,7 +140,11 @@ def _upper_mask(d: int) -> np.ndarray:
 def random_symmetric(d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Random symmetric Gaussian matrix (A + A.T) / 2, for eigensolver
     stress corpora."""
-    rng = np.random.default_rng([seed, d])
+    return _random_symmetric(d, np.random.default_rng([seed, d]), scale)
+
+
+def _random_symmetric(d: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    # random_symmetric's body, drawing from the given stream.
     a = rng.standard_normal((d, d)) * scale
     return (a + a.T) / 2.0
 

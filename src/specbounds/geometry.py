@@ -3,8 +3,9 @@ scans built on them.
 
 The quadratic-form identities here back 1e-9-level gap contracts.  One set
 of private kernels, built from np.matvec, np.vecmat and np.vecdot,
-evaluates them on one trial or on a stack of trials; their rounding sits
-far inside that scale.
+evaluates them on one trial or on a stack of trials, with one matrix for
+the whole stack (violation_scan) or one per trial (the batched corpus
+checks in specbounds.checks); their rounding sits far inside that scale.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .linalg import SpectralSplit
 from .profile import StdDevProfile
+from .seeding import _streams
 
 __all__ = [
     "deform",
@@ -78,8 +80,7 @@ def basic_gap(p: StdDevProfile, v: np.ndarray, w: np.ndarray, gamma: float) -> f
     _check_gamma(gamma)
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
     b2 = p.variance_matrix
-    dist_sq, quad = _natural_dist_sq(b2, v, w)
-    return float((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w) - gamma * quad - dist_sq)
+    return float(_basic_gap(b2, v, w, gamma, *_natural_dist_sq(b2, v, w)))
 
 
 def comparison_dist_sq(
@@ -99,8 +100,7 @@ def comparison_dist_sq(
     """
     _check_gamma(gamma)
     v, w = _check_vector(v, p.d), _check_vector(w, p.d)
-    return float((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(p.variance_matrix, v, w)
-                 + gamma * _quad(split.bminus, v * v - w * w))
+    return float(_comparison_dist_sq(p.variance_matrix, split.bminus, v, w, gamma))
 
 
 def bandeira_ratio(a: float, b: float, delta: float) -> float:
@@ -142,8 +142,9 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
         # Row k holds trial start + k's (v, w): the two vectors its stream
         # draws one after the other.
         pairs = np.empty((min(_SCAN_CHUNK, trials - start), 2, p.d))
-        for k, row in enumerate(pairs):
-            np.random.default_rng([seed, start + k]).standard_normal(out=row)
+        streams = _streams([seed, t] for t in range(start, start + len(pairs)))
+        for rng, row in zip(streams, pairs):
+            rng.standard_normal(out=row)
         v, w = _unit_rows(pairs).transpose(1, 0, 2)
         dist = np.sqrt(np.maximum(_natural_dist_sq(b2, v, w)[0], 0.0))
         xdist = 2.0 * np.sqrt(_image_dist_sq(b2, v, w))
@@ -174,9 +175,11 @@ def ball_boundary_csv(rows: np.ndarray) -> str:
 # The kernels below take the variance matrix B and vectors that are already
 # checked, so a public call checks and squares once, and a scan once per run.
 # The vector is the last axis: a (d,) input is one trial and a (k, d) stack
-# is k trials.  np.matvec, np.vecmat and np.vecdot run on each row the BLAS
-# call that a 1-D @ runs, so each row of a stacked result equals, bit for
-# bit, the same kernel called on that row alone.
+# is k trials.  The k trials share one (d, d) matrix, or row i pairs with
+# matrix i of a (k, d, d) stack, and gamma is a float or a (k,) array.
+# np.matvec, np.vecmat and np.vecdot run on each row the BLAS call that a
+# 1-D @ runs, so each row of a stacked result equals, bit for bit, the same
+# kernel called on that row alone.
 
 def _image(b2: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.matvec(b2, v * v))
@@ -198,7 +201,20 @@ def _natural_dist_sq(b2: np.ndarray, v: np.ndarray,
     s = v * v - w * w
     quad = _quad(b2, s)
     return (np.vecdot(np.vecmat((v + w) ** 2, b2), (v - w) ** 2) + quad
-            - np.vecdot(np.diag(b2), s * s)), quad
+            - np.vecdot(np.diagonal(b2, axis1=-2, axis2=-1), s * s)), quad
+
+
+def _basic_gap(b2: np.ndarray, v: np.ndarray, w: np.ndarray, gamma,
+               dist_sq: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    # RHS - LHS of the deformation inequality, given _natural_dist_sq(b2, v, w)
+    return (2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w) - gamma * quad - dist_sq
+
+
+def _comparison_dist_sq(b2: np.ndarray, bminus: np.ndarray, v: np.ndarray, w: np.ndarray,
+                        gamma) -> np.ndarray:
+    # the comparison process's increment variance, given the B- of b2
+    return ((2.0 + gamma + 1.0 / gamma) * _image_dist_sq(b2, v, w)
+            + gamma * _quad(bminus, v * v - w * w))
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -49,18 +49,14 @@ def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises numpy.linalg.LinAlgError if the LAPACK iteration fails to
     converge, which signals numerical pathology in the input.
     """
-    a = _as_symmetric(a)
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return eigenvalues[::-1].copy(), eigenvectors[:, ::-1].copy()
+    return _descending_eigh(_as_symmetric(a))
 
 
 def psd_split(b: np.ndarray) -> SpectralSplit:
     """Split a symmetric matrix into positive and negative spectral parts."""
     eigenvalues, eigenvectors = sym_eig(b)
-    pos = np.maximum(eigenvalues, 0.0)
-    neg = np.maximum(-eigenvalues, 0.0)
-    bplus = (eigenvectors * pos) @ eigenvectors.T
-    bminus = (eigenvectors * neg) @ eigenvectors.T
+    bplus = _spectral_part(eigenvalues, eigenvectors, 1.0)
+    bminus = _spectral_part(eigenvalues, eigenvectors, -1.0)
     clip = CLIP_REL * np.linalg.norm(b, "fro")
     keep = eigenvalues < -clip
     factor_l = eigenvectors[:, keep] * np.sqrt(-eigenvalues[keep])
@@ -118,6 +114,27 @@ def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]
     if factor > 1e-8 * (1.0 + fro):
         problems.append(f"factor residual {factor:.3e}")
     return problems
+
+
+def _bminus(b: np.ndarray) -> np.ndarray:
+    # psd_split(b[i]).bminus for each matrix of a (k, d, d) stack that is
+    # exactly symmetric by construction, from one stacked eigensolve; LAPACK
+    # and the matmul run per matrix, so each result keeps the bits of the
+    # one-matrix call.
+    return _spectral_part(*_descending_eigh(b), -1.0)
+
+
+def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # np.linalg.eigh of one matrix or a stack, eigenpairs in descending order
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    return eigenvalues[..., ::-1].copy(), eigenvectors[..., ::-1].copy()
+
+
+def _spectral_part(eigenvalues: np.ndarray, eigenvectors: np.ndarray, sign: float) -> np.ndarray:
+    # B+ (sign 1) or B- (sign -1): V diag(max(sign * lambda, 0)) V^T, for one
+    # matrix or a stack
+    weights = np.maximum(sign * eigenvalues, 0.0)
+    return (eigenvectors * weights[..., None, :]) @ eigenvectors.swapaxes(-1, -2)
 
 
 def _as_symmetric(a: np.ndarray, stack: bool = False) -> np.ndarray:

@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from specbounds import checks
 from specbounds.checks import equivalence_report
-from specbounds.cli import basic_corpus, main
+from specbounds.cli import main
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_decay,
@@ -22,13 +23,7 @@ from specbounds.generators import (
     random_psd_nonneg,
     random_symmetric,
 )
-from specbounds.geometry import (
-    bandeira_ratio,
-    basic_gap,
-    comparison_dist_sq,
-    natural_dist_sq,
-    violation_scan,
-)
+from specbounds.geometry import bandeira_ratio, natural_dist_sq, violation_scan
 from specbounds.linalg import psd_split, spectral_norm, split_invariant_violations
 from specbounds.montecarlo import (
     est_distance_sq,
@@ -99,17 +94,10 @@ def test_criterion_1_wigner_edge():
 def test_criterion_2_basic_gap_suite():
     trials = 100_000
     started = time.perf_counter()
-    worst = math.inf
-    failures = 0
-    for p, v, w, gamma in basic_corpus(trials, seed=1):
-        lhs = natural_dist_sq(p, v, w)
-        gap = basic_gap(p, v, w, gamma)
-        scale = 1.0 + abs(gap + lhs) + abs(lhs)
-        worst = min(worst, gap / scale)
-        if gap < -1e-9 * scale:
-            failures += 1
+    failures, details = checks.basic(trials, seed=1, tol=1e-9)
+    worst = details["min_scaled_gap"]
     elapsed = time.perf_counter() - started
-    ok = failures == 0 and elapsed < 120.0
+    ok = not failures and elapsed < 120.0
     _criterion(
         2,
         f"deformation-inequality gap >= -1e-9*scale on {trials} trials "
@@ -141,17 +129,9 @@ def test_criterion_3_natural_metric_oracle():
 
 def test_criterion_4_comparison_domination():
     trials = 100_000
-    worst = math.inf
-    failures = 0
-    for p, v, w, gamma in basic_corpus(trials, seed=1):
-        split = psd_split(p.variance_matrix)
-        nat = natural_dist_sq(p, v, w)
-        comp = comparison_dist_sq(p, split, v, w, gamma)
-        scale = 1.0 + abs(comp) + abs(nat)
-        worst = min(worst, (comp - nat) / scale)
-        if comp < nat - 1e-9 * scale:
-            failures += 1
-    ok = failures == 0
+    failures, details = checks.comparison(trials, seed=1, tol=1e-9)
+    worst = details["min_scaled_slack"]
+    ok = not failures
     _criterion(
         4,
         f"comparison-process distance dominates the metric on the criterion-2 "

@@ -6,6 +6,7 @@ import pytest
 from specbounds import bounds
 from specbounds.bounds import (
     BOUND_IDS,
+    BOUND_KINDS,
     bvh_bound,
     compute_bound_report,
     cor_sharp_bound,
@@ -15,7 +16,8 @@ from specbounds.bounds import (
     remark_upper,
     thm41_bound,
 )
-from specbounds.generators import gen_diagonal_unit, gen_wigner, random_profile
+from specbounds.generators import gen_diagonal_unit, gen_wigner, parse_family_spec, random_profile
+from specbounds.montecarlo import est_norm
 from specbounds.profile import StdDevProfile
 from specbounds.slicing import bvhrect_bound
 
@@ -234,3 +236,32 @@ class TestBoundReport:
         report = compute_bound_report(gen_wigner(8), replicates=20, seed=1)
         assert report["constants"]["gamma_star"] == 1.0
         assert report["bounds"]["cor_opt"] == pytest.approx(report["bounds"]["thm41"])
+
+
+class TestBoundKinds:
+    def test_every_id_has_a_kind(self):
+        assert tuple(BOUND_KINDS) == BOUND_IDS
+        assert {k for k, kind in BOUND_KINDS.items() if kind == "explicit"} == {"thm41", "cor_opt"}
+        assert set(BOUND_KINDS.values()) == {"explicit", "order"}
+
+    # The scan families at d = 16 and 64, plus two bandeira profiles.
+    SPECS = [f"{family}{',' if ':' in family else ':'}d={d}"
+             for family in ("wigner", "band:w=3", "diagonal_decay", "diagonal_unit",
+                            "sparse_random:density=0.35,seed=9", "kronecker_flip:seed=9")
+             for d in (16, 64)] + ["bandeira:delta=1e-3", "bandeira:delta=1"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_explicit_bounds_hold_within_four_stderr(self, spec):
+        # bound >= E||X|| - 4 stderr, the stderr combining the norm's with
+        # the gdot and ymax terms' at the bound's own gamma.
+        p = parse_family_spec(spec)
+        report = compute_bound_report(p, replicates=200, seed=17)
+        norm = est_norm(p, 200, 17)
+        gdot, ymax = report["mc"]["gdot"]["stderr"], report["mc"]["ymax"]["stderr"]
+        gammas = {"thm41": report["constants"]["gamma"],
+                  "cor_opt": report["constants"]["gamma_star"]}
+        for bound_id in (k for k, kind in BOUND_KINDS.items() if kind == "explicit"):
+            gamma = gammas[bound_id]
+            stderr = math.hypot(norm.stderr, math.sqrt(2.0 + gamma + 1.0 / gamma) * gdot,
+                                math.sqrt(gamma) * ymax)
+            assert report["bounds"][bound_id] >= norm.mean - 4.0 * stderr, bound_id

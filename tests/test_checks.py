@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from specbounds import checks
+from specbounds import checks, geometry, linalg
 from specbounds.checks import basic_corpus
 from specbounds.cli import main
 from specbounds.geometry import basic_gap, comparison_dist_sq, natural_dist_sq
@@ -68,3 +68,67 @@ def test_equiv_envelope_is_one_tenth_to_ten(monkeypatch, ratio, fails):
     failures, _ = checks.equiv(["wigner:d=2"], 2, 0)
     assert failures == ([{"family": "wigner:d=2", "pair": ["rowmax", "gdot"], "ratio": ratio}]
                         if fails else [])
+
+
+def _reference_results(check, trials, seed, tol):
+    # checks.basic or checks.comparison as a per-trial loop over the public
+    # geometry functions: failures in trial order up to the 20th, and the
+    # least scaled margin up to there.
+    failures, worst = [], math.inf
+    for t, (p, v, w, gamma) in enumerate(basic_corpus(trials, seed)):
+        nat = natural_dist_sq(p, v, w)
+        if check == "basic":
+            gap = basic_gap(p, v, w, gamma)
+            scale = 1.0 + abs(gap + nat) + abs(nat)
+            margin, fails = gap / scale, gap < -tol * scale
+            record = {"trial": t, "d": p.d, "gamma": gamma, "gap": gap, "scale": scale}
+        else:
+            comp = comparison_dist_sq(p, psd_split(p.variance_matrix), v, w, gamma)
+            scale = 1.0 + abs(comp) + abs(nat)
+            margin, fails = (comp - nat) / scale, comp < nat - tol * scale
+            record = {"trial": t, "d": p.d, "gamma": gamma, "comparison": comp, "natural": nat}
+        worst = min(worst, margin)
+        if fails:
+            failures.append(record)
+            if len(failures) == 20:
+                break
+    return failures, worst
+
+
+class TestBatchedCorpusChecks:
+    # The batched checks read the corpus in d-grouped stacks and must give
+    # the per-trial loop's values, bit for bit.
+    TRIALS = 1100  # past one chunk of checks._CHUNK
+
+    @pytest.mark.parametrize("check, key", [("basic", "min_scaled_gap"),
+                                            ("comparison", "min_scaled_slack")])
+    @pytest.mark.parametrize("tol", [1e-9, -0.1])
+    def test_same_failures_and_worst_as_per_trial_loop(self, check, key, tol):
+        # At tol -0.1 the 20th failure, where the checks stop, is trial 602
+        # (basic) or 744 (comparison), inside the first chunk.
+        failures, worst = _reference_results(check, self.TRIALS, 4, tol)
+        if tol > 0:
+            assert failures == []
+        else:
+            assert len(failures) == 20
+            assert failures[-1]["trial"] == {"basic": 602, "comparison": 744}[check]
+        result = getattr(checks, check)(self.TRIALS, 4, tol)
+        assert result == (failures, {key: worst})
+        assert json.dumps(result[0]) == json.dumps(failures)
+
+    def test_stacked_values_equal_per_trial_calls(self):
+        corpus = list(basic_corpus(self.TRIALS, 5))
+        for d in sorted({p.d for p, *_ in corpus}):
+            profiles, v, w, gamma = zip(*(case for case in corpus if case[0].d == d))
+            b2 = np.array([p.b for p in profiles]) ** 2
+            v, w, gamma = np.array(v), np.array(w), np.array(gamma)
+            dist_sq, quad = geometry._natural_dist_sq(b2, v, w)
+            gap = geometry._basic_gap(b2, v, w, gamma, dist_sq, quad)
+            bminus = linalg._bminus(b2)
+            comp = geometry._comparison_dist_sq(b2, bminus, v, w, gamma)
+            for k, p in enumerate(profiles):
+                split = psd_split(p.variance_matrix)
+                assert dist_sq[k] == natural_dist_sq(p, v[k], w[k])
+                assert gap[k] == basic_gap(p, v[k], w[k], gamma[k])
+                assert comp[k] == comparison_dist_sq(p, split, v[k], w[k], gamma[k])
+                assert np.array_equal(bminus[k], split.bminus)

@@ -253,8 +253,10 @@ class TestVerifyCommand:
         assert status == 0 and report["passed"]
 
     @pytest.mark.parametrize("check, module, name, fake, keys", [
-        ("basic", "geometry", "basic_gap", lambda *args: -1.0, {"trial", "d", "gamma", "gap"}),
-        ("comparison", "geometry", "comparison_dist_sq", lambda *args: -1.0,
+        ("basic", "geometry", "_basic_gap", lambda b2, v, *args: np.full(len(v), -1.0),
+         {"trial", "d", "gamma", "gap"}),
+        ("comparison", "geometry", "_comparison_dist_sq",
+         lambda b2, bminus, v, *args: np.full(len(v), -1.0),
          {"trial", "d", "gamma", "comparison", "natural"}),
         ("split", "linalg", "split_invariant_violations", lambda *args: ["faked"],
          {"trial", "d", "problems"}),

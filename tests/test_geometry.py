@@ -479,3 +479,24 @@ class TestRowStackKernels:
         expected = [(t, *deform(p, np.array([np.cos(t), np.sin(t)])))
                     for t in 2.0 * np.pi * np.arange(4096) / 4096]
         assert np.array_equal(rows, np.array(expected))
+
+
+class TestStackedMatrixKernels:
+    # With a (k, d, d) stack of matrices, row i pairs with matrix i, and
+    # holds the bits of the one-trial call on that row and that matrix.
+    @pytest.mark.parametrize("d", [1, 2, 9, 16])
+    def test_each_row_equals_the_one_trial_call_on_its_matrix(self, d):
+        b2 = np.array([random_profile(d, seed=d + k, density=0.6).variance_matrix
+                       for k in range(6)])
+        bminus = np.array([psd_split(b).bminus for b in b2])
+        v, w = np.random.default_rng([12, d]).standard_normal((2, 6, d))
+        s = v * v - w * w
+        dist_sq, quad = geometry._natural_dist_sq(b2, v, w)
+        image_dist_sq = geometry._image_dist_sq(b2, v, w)
+        quads = geometry._quad(b2, s), geometry._quad(bminus, s)
+        assert dist_sq.shape == quad.shape == image_dist_sq.shape == (6,)
+        for k in range(6):
+            assert (dist_sq[k], quad[k]) == geometry._natural_dist_sq(b2[k], v[k], w[k])
+            assert image_dist_sq[k] == geometry._image_dist_sq(b2[k], v[k], w[k])
+            assert quads[0][k] == geometry._quad(b2[k], s[k])
+            assert quads[1][k] == geometry._quad(bminus[k], s[k])
