@@ -13,36 +13,12 @@ import numpy as np
 from . import montecarlo, slicing
 from .profile import StdDevProfile, gamma_star, max_entry, row_l4_max_term, sigma
 
-__all__ = [
-    "BOUND_IDS",
-    "BOUND_KINDS",
-    "bvh_bound",
-    "equiv_expression",
-    "remark_upper",
-    "cor_sharp_bound",
-    "latala05_bound",
-    "thm41_bound",
-    "optimize_gamma",
-    "compute_bound_report",
-    "DEFAULT_C",
-]
-
 DEFAULT_C = 2.0
 
-BOUND_IDS = (
-    "bvh",
-    "equiv_expression",
-    "remark_upper",
-    "cor_sharp",
-    "cor_opt",
-    "latala05",
-    "slicing_assembled",
-    "thm41",
-)
-
-# What each bound id claims.  "explicit": E||X|| <= bound holds with the
-# stated constants.  "order": E||X|| is within an unnamed universal constant
-# of it.  The kind stays out of the reports.
+# Every bound id, in report order, with what it claims.  "explicit":
+# E||X|| <= bound holds with the stated constants.  "order": E||X|| is
+# within an unnamed universal constant of it.  The kind stays out of the
+# reports.
 BOUND_KINDS = {
     "bvh": "order",
     "equiv_expression": "order",
@@ -53,6 +29,7 @@ BOUND_KINDS = {
     "slicing_assembled": "order",
     "thm41": "explicit",
 }
+BOUND_IDS = tuple(BOUND_KINDS)
 
 GAMMA_FLOOR = 1e-6
 

@@ -2,13 +2,14 @@
 return (failures, details), the failure records and the report fields, and
 the equivalence report that the equiv suite reads.
 
-The corpus suites build their per-trial streams in batches through
-seeding._streams; each equals the default_rng([seed, t]) stream it
-replaces.  The basic and comparison suites read basic_corpus in chunks,
-group each chunk by d and evaluate the geometry kernels on (k, d, d)
-stacks, with one stacked eigensolve for B- in the comparison suite.  Each
-value keeps the bits of the per-trial public call, and the failures come
-in trial order, capped at 20, as a per-trial loop gives them.
+The corpus suites read their per-trial streams from seeding._trial_batches,
+in batches of seeding._CHUNK trials; each equals the default_rng([seed, t])
+stream it replaces.  The basic and comparison suites read basic_corpus in
+chunks of the same size, group each chunk by d and evaluate the geometry
+kernels on (k, d, d) stacks, with one stacked eigensolve for B- in the
+comparison suite.  Each value keeps the bits of the per-trial public call,
+and the failures come in trial order, capped at 20, as a per-trial loop
+gives them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ import numpy as np
 from . import bounds, geometry, linalg, montecarlo, slicing
 from .generators import _random_profile, _random_symmetric, parse_family_spec
 from .profile import StdDevProfile, sigma
-from .seeding import _streams
+from .seeding import _CHUNK, _streams, _trial_batches
 
 RATIO_ENVELOPE = 10.0
-
-# Corpus trials whose streams are built, and whose basic and comparison
-# checks run, in one batch.
-_CHUNK = 1024
 
 
 def basic_corpus(trials: int, seed: int):
@@ -41,11 +38,8 @@ def basic_corpus(trials: int, seed: int):
 def _trial_streams(trials: int, seed: int, d_stop: int):
     # (t, rng, d, inner) for each trial t: rng = default_rng([seed, t]),
     # d = rng.integers(2, d_stop), and inner = default_rng([seed * 1_000_003
-    # + t, d]), the stream of trial t's random matrix.  The streams are
-    # built _CHUNK trials at a time.
-    for start in range(0, trials, _CHUNK):
-        ts = range(start, min(start + _CHUNK, trials))
-        streams = _streams([seed, t] for t in ts)
+    # + t, d]), the stream of trial t's random matrix.
+    for ts, streams in _trial_batches(trials, seed):
         ds = [int(rng.integers(2, d_stop)) for rng in streams]
         inner = _streams([seed * 1_000_003 + t, d] for t, d in zip(ts, ds))
         yield from zip(ts, streams, ds, inner)

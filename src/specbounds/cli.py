@@ -31,6 +31,18 @@ EXIT_VERIFY_FAILED = 2
 DEFAULT_EQUIV_FAMILIES = ["wigner:d=64", "diagonal_unit:d=64"]
 DEFAULT_SLICE_FAMILIES = ["wigner:d=64", "diagonal_decay:d=256"]
 
+# The verify suites by --check name.  Each looks its checks.* function up
+# when it runs, so that a test can replace that function.
+_VERIFY_CHECKS = {
+    "basic": lambda args: checks.basic(args.trials, args.seed, args.tol),
+    "comparison": lambda args: checks.comparison(args.trials, args.seed, args.tol),
+    "slice": lambda args: checks.slice(args.family or DEFAULT_SLICE_FAMILIES,
+                                       args.replicates, args.seed),
+    "split": lambda args: checks.split(args.trials, args.seed),
+    "equiv": lambda args: checks.equiv(args.family or DEFAULT_EQUIV_FAMILIES,
+                                       args.replicates, args.seed),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the contract reserves 2 for
@@ -69,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=[*montecarlo.PROFILE_QUANTITIES, "all"])
 
     pv = sub.add_parser("verify", help="run one verification suite")
-    pv.add_argument("--check", required=True,
-                    choices=["basic", "comparison", "slice", "split", "equiv"])
+    pv.add_argument("--check", required=True, choices=list(_VERIFY_CHECKS))
     pv.add_argument("--trials", type=_int_at_least(1), default=10000)
     pv.add_argument("--seed", type=_int_at_least(0), default=0)
     pv.add_argument("--tol", type=_finite_float(), default=1e-9)
@@ -241,15 +252,10 @@ def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.check == "equiv" and args.replicates < 2:  # the parser holds slice's floor
         raise ValueError(f"argument --replicates: expected an integer >= 2, got {args.replicates}")
-    failures, details = {
-        "basic": lambda: checks.basic(args.trials, args.seed, args.tol),
-        "comparison": lambda: checks.comparison(args.trials, args.seed, args.tol),
-        "split": lambda: checks.split(args.trials, args.seed),
-        "slice": lambda: checks.slice(args.family or DEFAULT_SLICE_FAMILIES,
-                                      args.replicates, args.seed),
-        "equiv": lambda: checks.equiv(args.family or DEFAULT_EQUIV_FAMILIES,
-                                      args.replicates, args.seed),
-    }[args.check]()
+    for i, spec in enumerate(args.family or ()):  # the reports are keyed by spec
+        if spec in args.family[:i]:
+            raise ValueError(f"argument --family: family {spec!r} given twice")
+    failures, details = _VERIFY_CHECKS[args.check](args)
     report = {"check": args.check, "trials": args.trials, "seed": args.seed, "tol": args.tol,
               "passed": not failures, "failures": failures, **details}
     return report, EXIT_OK if not failures else EXIT_VERIFY_FAILED

@@ -10,19 +10,6 @@ import numpy as np
 
 from .profile import StdDevProfile
 
-__all__ = [
-    "gen_wigner",
-    "gen_diagonal_unit",
-    "gen_diagonal_decay",
-    "gen_band",
-    "gen_bandeira",
-    "gen_kronecker_flip",
-    "gen_sparse_random",
-    "random_psd_nonneg",
-    "make_family",
-    "parse_family_spec",
-    "FAMILY_NAMES",
-]
 
 def gen_wigner(d: int) -> StdDevProfile:
     """Homogeneous profile with b_ij = 1 for all i, j."""

@@ -6,6 +6,9 @@ of private kernels, built from np.matvec, np.vecmat and np.vecdot,
 evaluates them on one trial or on a stack of trials, with one matrix for
 the whole stack (violation_scan) or one per trial (the batched corpus
 checks in specbounds.checks); their rounding sits far inside that scale.
+violation_scan stacks the trials of each batch that
+seeding._trial_batches yields, so its arrays hold at most seeding._CHUNK
+rows of length d, whatever the trial count.
 """
 
 from __future__ import annotations
@@ -16,27 +19,9 @@ import numpy as np
 
 from .linalg import SpectralSplit
 from .profile import StdDevProfile
-from .seeding import _streams
-
-__all__ = [
-    "deform",
-    "simplex_sup",
-    "natural_dist_sq",
-    "quad_form_sq_diff",
-    "basic_gap",
-    "comparison_dist_sq",
-    "bandeira_ratio",
-    "violation_scan",
-    "ball_boundary_2d",
-    "ball_boundary_csv",
-    "BALL_CSV_HEADER",
-]
+from .seeding import _trial_batches
 
 BALL_CSV_HEADER = "theta,x1,x2"
-
-# Trials that violation_scan evaluates in one stacked pass; its arrays hold
-# this many rows of length d, whatever the trial count.
-_SCAN_CHUNK = 2048
 
 
 def deform(p: StdDevProfile, v: np.ndarray) -> np.ndarray:
@@ -138,11 +123,10 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
         raise ValueError(f"trials must be >= 1, got {trials}")
     b2 = p.variance_matrix
     violations = 0
-    for start in range(0, trials, _SCAN_CHUNK):
-        # Row k holds trial start + k's (v, w): the two vectors its stream
-        # draws one after the other.
-        pairs = np.empty((min(_SCAN_CHUNK, trials - start), 2, p.d))
-        streams = _streams([seed, t] for t in range(start, start + len(pairs)))
+    for ts, streams in _trial_batches(trials, seed):
+        # Row k holds trial ts[k]'s (v, w): the two vectors its stream draws
+        # one after the other.
+        pairs = np.empty((len(ts), 2, p.d))
         for rng, row in zip(streams, pairs):
             rng.standard_normal(out=row)
         v, w = _unit_rows(pairs).transpose(1, 0, 2)

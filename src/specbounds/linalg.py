@@ -12,14 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpectralSplit",
-    "sym_eig",
-    "psd_split",
-    "spectral_norm",
-    "operator_norm",
-]
-
 # Negative eigenvalues above -CLIP_REL * ||B||_F are treated as zero when
 # building the low-rank factor, preventing spurious rank on near-PSD input.
 # The threshold scales with B, so rank(B-) does not depend on the units of b.

@@ -42,24 +42,6 @@ from .geometry import _check_vector
 from .linalg import psd_split, spectral_norm
 from .profile import StdDevProfile, support_blocks
 
-__all__ = [
-    "RandomStream",
-    "McEstimate",
-    "block_size",
-    "sample_X",
-    "x_stacks",
-    "block_norms",
-    "estimate",
-    "est_norm",
-    "est_rowmax",
-    "est_entrymax",
-    "est_gdot",
-    "est_ymax",
-    "est_distance_sq",
-    "PROFILE_QUANTITIES",
-    "X_QUANTITIES",
-]
-
 # Quantities estimated from a profile alone; distsq also needs v and w.
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
 # Profile quantities that estimate reduces from the X stacks.

@@ -16,17 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "StdDevProfile",
-    "load_profile",
-    "sigma",
-    "max_entry",
-    "rearrange",
-    "support_blocks",
-    "gamma_star",
-    "row_l4_max_term",
-]
-
 
 @dataclass(frozen=True)
 class StdDevProfile:

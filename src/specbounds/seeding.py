@@ -6,9 +6,12 @@ come out.  `_streams` hashes many entropy rows at once, as numpy array
 operations, and hands each PCG64 its words directly, so every stream it
 returns is the stream `default_rng(row)` would give.  On a 2-core x86-64
 machine with numpy 2.4.6 a batch of 1024 rows took about 3.5 µs per
-stream, against about 19 µs per `default_rng` call.  The corpus of the
-basic and comparison checks, the split check and `violation_scan` build
-their per-trial streams here.
+stream, against about 19 µs per `default_rng` call.
+
+`_trial_batches` is the one loop over per-trial streams: it yields trial
+t's stream `default_rng([seed, t])` in batches of `_CHUNK` trials.  The
+corpus of the basic and comparison checks, the split check and
+`violation_scan` read their trials from it.
 
 The hash copies numpy's SeedSequence: each int is split into 32-bit words,
 the first four words fill a pool of four (shorter rows hash as if padded
@@ -31,6 +34,18 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
+
+# Trials whose streams are built, and whose corpus checks or scan rows are
+# stacked, in one batch.
+_CHUNK = 1024
+
+
+def _trial_batches(trials: int, seed: int):
+    """(ts, streams) for trials 0, ..., trials - 1, _CHUNK trials at a time:
+    ts is a range and streams[k] equals np.random.default_rng([seed, ts[k]])."""
+    for start in range(0, trials, _CHUNK):
+        ts = range(start, min(start + _CHUNK, trials))
+        yield ts, _streams([seed, t] for t in ts)
 
 
 def _streams(rows) -> list[np.random.Generator]:

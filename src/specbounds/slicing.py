@@ -21,15 +21,6 @@ from .linalg import operator_norm
 from .montecarlo import block_norms, x_stacks
 from .profile import StdDevProfile, rearrange, support_blocks
 
-__all__ = [
-    "slice_bands",
-    "decompose",
-    "bvhrect_bound",
-    "slice_assembled_bound",
-    "verify_slice_inequality",
-    "decomposition_summary",
-]
-
 
 def slice_bands(d: int) -> tuple:
     """The bands as (lo, hi) row ranges, 1-based and inclusive."""

@@ -312,6 +312,14 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "--check", "everything"]) == 1
 
+    @pytest.mark.parametrize("check", ["slice", "equiv"])
+    def test_repeated_family_is_input_error(self, capsys, check):
+        # the reports are keyed by spec, so a repeat would run twice and
+        # list its failures twice under one report
+        line = _assert_input_error(capsys, ["verify", "--check", check, "--replicates", "2",
+                                            "--family", "wigner:d=2", "--family", "wigner:d=2"])
+        assert "--family" in line and "'wigner:d=2'" in line
+
 
 class TestParser:
     def test_built_once(self):

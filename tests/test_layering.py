@@ -49,3 +49,10 @@ def test_package_root_imports_nothing():
     tree = _trees()["__init__"]
     assert [ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_no_module_declares_all():
+    # A leading underscore is the only mark of a private name.
+    assert [name for name, tree in _trees().items()
+            if any(isinstance(node, ast.Name) and node.id == "__all__"
+                   for node in ast.walk(tree))] == []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from specbounds import checks, geometry, linalg
 from specbounds.checks import basic_corpus
 from specbounds.generators import gen_bandeira, random_profile, random_symmetric
-from specbounds.seeding import _seed_words, _streams
+from specbounds.seeding import _CHUNK, _seed_words, _streams, _trial_batches
 
 # One and two 32-bit words at their edges, and three words.
 EDGES = [0, 2**32 - 1, 2**32, 2**64 + 3]
@@ -45,6 +45,19 @@ def test_streams_equal_default_rng():
         reference = np.random.default_rng(row)
         assert np.array_equal(rng.standard_normal(7), reference.standard_normal(7))
         assert rng.integers(2, 33) == reference.integers(2, 33)
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK, _CHUNK + 1])
+def test_trial_batches_hold_each_trial_once_in_full_chunks(trials):
+    seed = 11
+    batches = list(_trial_batches(trials, seed))
+    assert [t for ts, _ in batches for t in ts] == list(range(trials))
+    sizes = [len(ts) for ts, _ in batches]
+    assert all(size == _CHUNK for size in sizes[:-1]) and 0 < sizes[-1] <= _CHUNK
+    for ts, streams in batches:
+        assert len(streams) == len(ts)
+        for t, rng in zip(ts, streams):
+            assert rng.bit_generator.state == np.random.default_rng([seed, t]).bit_generator.state
 
 
 def test_negative_entropy_is_refused_like_numpy():
@@ -93,7 +106,7 @@ def test_split_corpus_equals_default_rng_corpus(monkeypatch):
 
 
 def test_violation_scan_draws_default_rng_pairs(monkeypatch):
-    # 2049 trials: one past the scan's chunk of 2048.
+    # 2049 trials: two chunks of 1024 and a last batch of one trial.
     p, trials, seed = gen_bandeira(1e-4), 2049, 5
     drawn = []
     unit_rows = geometry._unit_rows
