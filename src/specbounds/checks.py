@@ -24,6 +24,8 @@ from .profile import StdDevProfile, sigma
 from .seeding import _CHUNK, _streams, _trial_batches
 
 RATIO_ENVELOPE = 10.0
+# The Monte Carlo estimates that equivalence_report reads.
+EQUIV_QUANTITIES = ("rowmax", "entrymax", "gdot")
 
 
 def basic_corpus(trials: int, seed: int):
@@ -134,16 +136,18 @@ def slice(families, replicates: int, seed: int) -> tuple[list, dict]:
     return _per_family(families, test)
 
 
-def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
+def equivalence_report(p: StdDevProfile, estimates: dict) -> dict:
     """The four equivalent quantities and their pairwise ratios.
 
     Quantities: rowmax and gdot (Monte Carlo), sigma + entrymax (closed
-    form plus Monte Carlo), and the fully closed-form expression.  For the
-    zero profile all quantities vanish and every ratio is reported as 1 by
+    form plus Monte Carlo), and the fully closed-form expression.  The
+    Monte Carlo ones are read from ``estimates``, a mapping as
+    montecarlo.estimate returns it that holds EQUIV_QUANTITIES (other keys
+    are ignored), and so are the replicate count and seed.  For the zero
+    profile all quantities vanish and every ratio is reported as 1 by
     convention.
     """
-    est = montecarlo.estimate(p, ("rowmax", "entrymax", "gdot"), replicates, seed)
-    rowmax, entrymax, gdot = est["rowmax"], est["entrymax"], est["gdot"]
+    rowmax, entrymax, gdot = (estimates[q] for q in EQUIV_QUANTITIES)
     means = {
         "rowmax": rowmax.mean,
         "gdot": gdot.mean,
@@ -159,15 +163,16 @@ def equivalence_report(p: StdDevProfile, replicates: int, seed: int) -> dict:
             "gdot": gdot.to_dict(),
             "entrymax": entrymax.to_dict(),
         },
-        "replicates": replicates,
-        "seed": seed,
+        "replicates": rowmax.replicates,
+        "seed": rowmax.seed,
     }
 
 
 def equiv(families, replicates: int, seed: int) -> tuple[list, dict]:
     """Every ratio of two row-norm quantities lies within RATIO_ENVELOPE of 1."""
     def test(spec, profile):
-        report = equivalence_report(profile, replicates, seed)
+        report = equivalence_report(
+            profile, montecarlo.estimate(profile, EQUIV_QUANTITIES, replicates, seed))
         return report, [{"family": spec, "pair": [a, b], "ratio": ratio}
                         for a, row in report["ratios"].items() for b, ratio in row.items()
                         if not 1.0 / RATIO_ENVELOPE <= ratio <= RATIO_ENVELOPE]

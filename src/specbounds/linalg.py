@@ -68,12 +68,16 @@ def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of a general (possibly rectangular) matrix."""
+def operator_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a general (possibly rectangular) matrix;
+    for a (k, r, c) stack, the array of the k values.  Zero and empty
+    matrices give 0 without an SVD."""
     a = np.asarray(a, dtype=np.float64)
-    if a.size == 0 or not np.any(a):
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    nonzero = np.any(a, axis=(-2, -1))
+    norms = np.zeros(nonzero.shape)
+    if nonzero.any():
+        norms[nonzero] = np.linalg.svd(a[nonzero], compute_uv=False)[:, 0]
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]:

@@ -19,13 +19,19 @@ quantity asked for, and est_norm, est_rowmax and est_entrymax are
 estimate with one quantity.  gdot and ymax have tags of their own, so the
 two terms of the Theorem 4.1 bound are independent.
 
-Block rule for the norm: X_ij = 0 wherever b_ij = 0, so X is
-block-diagonal over the connected components of the profile's support
-(profile.support_blocks), and ||X|| is the largest eigensolve norm among
-its diagonal blocks.  A connected profile is solved whole, as one d x d
-eigensolve; a diagonal one as d 1 x 1 blocks, which return |X_ii|
+Block rule: X_ij = 0 wherever b_ij = 0, so X is block-diagonal over the
+connected components of the profile's support (profile.support_blocks).
+estimate draws X through x_blocks: each stream block still draws all
+d(d+1)/2 normals, which are gathered straight into one (k, m, s, s) stack
+per block size, and ||X||, the largest row norm and the largest entry are
+the largest of their values over the blocks; ||X|| takes one stacked
+eigensolve per block size (block_norms).  A connected profile is one
+block, X itself, drawn by sample_X and solved whole as one d x d
+eigensolve; a diagonal one is d 1 x 1 blocks, which return |X_ii|
 exactly.  On a profile with several components of size >= 2 the block
-eigensolves may differ from a whole-matrix eigensolve in the last bits.
+eigensolves may differ from a whole-matrix eigensolve in the last bits;
+rowmax and entrymax keep the bits of the dense X.  est_distance_sq reads
+the dense x_stacks.
 
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
@@ -102,11 +108,16 @@ def sample_X(p: StdDevProfile, stream: RandomStream, k: int | None = None) -> np
     stack of k matrices is a prefix of any larger stack from the same
     stream.
     """
-    pos = _lower_positions(p.d)
     shape = () if k is None else (k,)
     lower = stream.generator().standard_normal(shape + (p.d * (p.d + 1) // 2,))
+    return _gather(lower, _lower_positions(p.d), p.b)
+
+
+def _gather(lower: np.ndarray, pos: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The entries b * g at the lower-triangle positions pos, for each row of
+    # normals in lower.
     x = np.take(lower, pos, axis=-1)
-    x *= p.b
+    x *= b
     return x
 
 
@@ -128,6 +139,42 @@ def x_stacks(p: StdDevProfile, replicates: int, seed: int):
         yield sample_X(p, RandomStream(seed, X_TAG, block), k)
 
 
+def x_blocks(p: StdDevProfile, blocks: list[np.ndarray], replicates: int, seed: int):
+    """The draws of X for replicates 0..R-1, one item per stream block,
+    taken apart into X's diagonal blocks over ``blocks`` (support_blocks(p)).
+
+    An item is a list of (k, m, s, s) stacks, one per (m, s) entry of
+    blocks: entry [r, c] is X[C, C] of replicate r for the component C =
+    row c of the entry.  Each stream block draws all d(d+1)/2 normals, as
+    x_stacks does, and gathers each block straight from them, so entries
+    keep their bits and no d x d matrix is built.  A connected profile is
+    one block, X itself, and its items are the (k, d, d) stacks of x_stacks.
+    """
+    if _connected(blocks):
+        yield from x_stacks(p, replicates, seed)
+        return
+    pos = _lower_positions(p.d)
+    maps = [(pos[idx[:, :, None], idx[:, None, :]], p.b[idx[:, :, None], idx[:, None, :]])
+            for idx in blocks]
+    n = p.d * (p.d + 1) // 2
+    for block, k in _blocks(replicates, n):
+        lower = RandomStream(seed, X_TAG, block).generator().standard_normal((k, n))
+        yield [_gather(lower, at, b) for at, b in maps]
+
+
+def block_stacks(x) -> list[np.ndarray]:
+    """The (k, m, s, s) block stacks of an x_blocks item: the item itself,
+    or the one block [x[:, None]] of a connected profile's (k, d, d) stack."""
+    return [x[:, None]] if isinstance(x, np.ndarray) else x
+
+
+def blockwise_max(norm, stacks: list[np.ndarray]) -> np.ndarray:
+    """The largest value of norm over the blocks of each of the k draws:
+    norm maps a (j, r, c) stack to its j values, and runs once per stack of
+    (k, m, r, c) blocks, on all k * m of them."""
+    return _max_per_draw(norm(s.reshape(-1, *s.shape[2:])).reshape(s.shape[:2]) for s in stacks)
+
+
 def estimate(
     p: StdDevProfile,
     quantities,
@@ -136,7 +183,7 @@ def estimate(
 ) -> dict[str, McEstimate]:
     """Estimates of the quantities named in ``quantities`` (any of
     PROFILE_QUANTITIES), keyed in the order asked.  The X quantities come
-    from one pass over the X stacks, each block drawn once and read by
+    from one pass over x_blocks, each stream block drawn once and read by
     every one of them; gdot and ymax come from est_gdot and est_ymax."""
     _check_replicates(replicates)
     unknown = [q for q in quantities if q not in PROFILE_QUANTITIES]
@@ -144,10 +191,10 @@ def estimate(
         raise ValueError(f"not a profile quantity: {unknown[0]!r}")
     values = {q: [] for q in quantities if q in X_QUANTITIES}
     if values:
-        blocks = support_blocks(p) if "norm" in values else None
-        for x in x_stacks(p, replicates, seed):
+        blocks = support_blocks(p)
+        for x in x_blocks(p, blocks, replicates, seed):
             for quantity, stacks in values.items():
-                stacks.append(_x_values(quantity, x, blocks))
+                stacks.append(_x_values(quantity, x, blocks, p.d))
     others = {"gdot": est_gdot, "ymax": est_ymax}
     return {q: others[q](p, replicates, seed) if q in others
             else _reduce(values[q], replicates, seed, q) for q in quantities}
@@ -168,30 +215,52 @@ def est_entrymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     return estimate(p, ("entrymax",), replicates, seed)["entrymax"]
 
 
-def block_norms(x: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """||X|| for each matrix of the (k, d, d) stack x of a profile whose
-    support_blocks are ``blocks``: the largest norm among its diagonal
-    blocks, with one stacked eigensolve per block size."""
+def block_norms(x, blocks: list[np.ndarray]) -> np.ndarray:
+    """||X|| for each of the k draws of X on a profile whose support_blocks
+    are ``blocks``: the largest norm among X's diagonal blocks, with one
+    stacked eigensolve per block size.  x is a (k, d, d) stack of X, or an
+    item of x_blocks."""
     # spectral_norm is looked up at call time, so a wrapper installed on
     # this module sees every eigensolve.
-    if len(blocks) == 1 and len(blocks[0]) == 1:
-        return spectral_norm(x)  # connected: the block is x itself
-    k = x.shape[0]
-    norms = np.zeros(k)
-    for idx in blocks:
-        m, s = idx.shape
-        sub = x[:, idx[:, :, None], idx[:, None, :]].reshape(k * m, s, s)
-        np.maximum(norms, spectral_norm(sub).reshape(k, m).max(axis=1), out=norms)
-    return norms
+    if isinstance(x, np.ndarray):
+        if _connected(blocks):
+            return spectral_norm(x)  # the block is x itself
+        x = [x[:, idx[:, :, None], idx[:, None, :]] for idx in blocks]
+    return blockwise_max(spectral_norm, x)
 
 
-def _x_values(quantity: str, x: np.ndarray, blocks) -> np.ndarray:
-    # One value per matrix of the (k, d, d) stack x.
+def _connected(blocks: list[np.ndarray]) -> bool:
+    return len(blocks) == 1 and len(blocks[0]) == 1
+
+
+def _x_values(quantity: str, x, blocks, d: int) -> np.ndarray:
+    # One value per draw of the x_blocks item x.
     if quantity == "norm":
         return block_norms(x, blocks)
+    stacks = block_stacks(x)
     if quantity == "rowmax":
-        return np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
-    return np.max(np.abs(x), axis=(1, 2))
+        return np.sqrt(_max_per_draw(_row_sums_sq(stack, idx, d)
+                                     for stack, idx in zip(stacks, blocks)))
+    return _max_per_draw(np.abs(stack) for stack in stacks)
+
+
+def _row_sums_sq(stack: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
+    # sum_j X_ij^2 for each row of a (k, m, s, s) block stack, with the bits
+    # of the row sum of the dense X: a row of one or two entries sums exactly
+    # in any order, and a longer one is summed at its places in a d-wide row
+    # of zeros, as numpy sums the dense row.
+    sq = stack * stack
+    if 2 < idx.shape[1] < d:
+        wide = np.zeros(sq.shape[:-1] + (d,))
+        np.put_along_axis(wide, np.broadcast_to(idx[:, None, :], sq.shape), sq, axis=-1)
+        sq = wide
+    return np.sum(sq, axis=-1)
+
+
+def _max_per_draw(arrays) -> np.ndarray:
+    # The largest entry of each row of every (k, ...) array, then the
+    # largest over the arrays.
+    return np.max([a.reshape(len(a), -1).max(axis=1) for a in arrays], axis=0)
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import operator_norm
-from .montecarlo import block_norms, x_stacks
+from .montecarlo import block_norms, block_stacks, blockwise_max, x_blocks
 from .profile import StdDevProfile, rearrange, support_blocks
 
 
@@ -66,34 +66,44 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     """Check the pointwise norm inequalities on sampled matrices.
 
     For each replicate X (drawn on the rearranged profile by
-    montecarlo.x_stacks, the X streams of the Monte Carlo estimators)
+    montecarlo.x_blocks, the X streams of the Monte Carlo estimators)
     asserts, up to 1e-9-scaled slack,
 
         ||Xlow||^2 <= sum_n ||X^(n)||^2   and   ||X|| <= ||Xup|| + ||Xlow||,
 
     and reports the extreme observed ratios of ||Xlow||^2 against both the
     sum and the max of the slice norms (both ratios are 1 by convention
-    when everything vanishes).  ||X|| comes from montecarlo.block_norms,
-    once per stack; the triangular and slice norms are singular values.
+    when everything vanishes).  Every norm is the largest over X's support
+    blocks: ||X|| comes from montecarlo.block_norms, once per stack, and the
+    triangular and slice norms are singular values per support block.  The
+    slice n of component C is tril(X)[C's rows in band n, C], and the
+    components of one size with as many rows in the band share one stacked
+    SVD.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    bands = slice_bands(p.d)
     pstar = rearrange(p)
     blocks = support_blocks(pstar)
+    band_parts = [_band_parts(blocks, lo, hi) for lo, hi in slice_bands(p.d)]
     # One (holds, sum ratio, slice ratio) row per replicate.
     rows = []
-    for x, full in (pair for stack in x_stacks(pstar, replicates, seed)
-                    for pair in zip(stack, block_norms(stack, blocks))):
-        xlow = np.tril(x)
-        slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
-        low = operator_norm(xlow)
-        low_sq = low ** 2
-        total = sum(slice_norms_sq)
-        split_sum = operator_norm(np.triu(x, 1)) + low
-        fails = (low_sq > total + 1e-9 * (1.0 + total)
-                 or full > split_sum + 1e-9 * (1.0 + split_sum))
-        rows.append((not fails, _ratio(low_sq, total), _ratio(low_sq, max(slice_norms_sq))))
+    for x in x_blocks(pstar, blocks, replicates, seed):
+        stacks = block_stacks(x)
+        lows = [np.tril(stack) for stack in stacks]
+        norms = [block_norms(x, blocks),
+                 blockwise_max(operator_norm, lows),
+                 blockwise_max(operator_norm, [np.triu(stack, 1) for stack in stacks]),
+                 *(blockwise_max(operator_norm, [lows[g][:, comps[:, None], at]
+                                                 for g, comps, at in parts])
+                   for parts in band_parts)]
+        for full, low, up, *slice_norms in zip(*(n.tolist() for n in norms)):
+            slice_norms_sq = [norm ** 2 for norm in slice_norms]
+            low_sq = low ** 2
+            total = sum(slice_norms_sq)
+            split_sum = up + low
+            fails = (low_sq > total + 1e-9 * (1.0 + total)
+                     or full > split_sum + 1e-9 * (1.0 + split_sum))
+            rows.append((not fails, _ratio(low_sq, total), _ratio(low_sq, max(slice_norms_sq))))
     holds, ratio_sum, ratio_slice = zip(*rows)
     return {
         "holds": all(holds),
@@ -103,6 +113,22 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
         "replicates": replicates,
         "seed": seed,
     }
+
+
+def _band_parts(blocks: list, lo: int, hi: int) -> list:
+    # The band's rows lo..hi (1-based) in each support block, as (g, comps,
+    # at) triples: the components comps of blocks[g] that have r rows in
+    # the band, and at[c], the positions of those rows within component
+    # comps[c].  A component's indices increase, so its rows in a band are
+    # consecutive positions.
+    parts = []
+    for g, idx in enumerate(blocks):
+        inside = (idx >= lo - 1) & (idx < hi)
+        counts, first = inside.sum(axis=1), inside.argmax(axis=1)
+        for r in sorted(set(counts[counts > 0].tolist())):
+            comps = np.flatnonzero(counts == r)
+            parts.append((g, comps, first[comps, None] + np.arange(r)))
+    return parts
 
 
 def decomposition_summary(p: StdDevProfile) -> dict:

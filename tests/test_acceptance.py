@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specbounds import checks
-from specbounds.checks import equivalence_report
+from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
 from specbounds.cli import main
 from specbounds.generators import (
     gen_bandeira,
@@ -30,6 +30,7 @@ from specbounds.montecarlo import (
     est_gdot,
     est_norm,
     est_rowmax,
+    estimate,
 )
 from specbounds.profile import StdDevProfile, max_entry
 from specbounds.slicing import slice_bands, verify_slice_inequality
@@ -63,12 +64,15 @@ def scan_corpus():
     for name, params in SCAN_FAMILIES:
         for d in SCAN_DIMS:
             profile = make_family(name, {**params, "d": d})
+            # one pass over the X blocks for the norm and the report
+            est = estimate(profile, ("norm", "rowmax", "entrymax", "gdot"),
+                           SCAN_REPLICATES, SCAN_SEED)
             rows.append(
                 {
                     "family": name,
                     "d": d,
-                    "norm": est_norm(profile, SCAN_REPLICATES, SCAN_SEED),
-                    "equiv": equivalence_report(profile, SCAN_REPLICATES, SCAN_SEED),
+                    "norm": est["norm"],
+                    "equiv": equivalence_report(profile, est),
                 }
             )
     return rows
@@ -212,7 +216,9 @@ def test_criterion_8_equivalence_envelope(scan_corpus):
                 lo, hi = min(lo, ratio), max(hi, ratio)
                 if not 0.1 <= ratio <= 10.0:
                     ok = False
-    bandeira = equivalence_report(gen_bandeira(1.0), SCAN_REPLICATES, SCAN_SEED)
+    profile = gen_bandeira(1.0)
+    bandeira = equivalence_report(
+        profile, estimate(profile, EQUIV_QUANTITIES, SCAN_REPLICATES, SCAN_SEED))
     for ratio_row in bandeira["ratios"].values():
         for ratio in ratio_row.values():
             lo, hi = min(lo, ratio), max(hi, ratio)

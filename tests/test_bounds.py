@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from specbounds.profile import StdDevProfile
 from specbounds.slicing import bvhrect_bound
 
 ZERO3 = StdDevProfile(3, np.zeros((3, 3)))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestBvhBound:
@@ -240,7 +243,15 @@ class TestBoundReport:
 
 class TestBoundKinds:
     def test_every_id_has_a_kind(self):
-        assert tuple(BOUND_KINDS) == BOUND_IDS
+        # The README's bound table lists every id with its kind, in report
+        # order.
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| id | formula | kind |") + 2
+        rows = []
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows.append((cells[0].strip("`"), cells[-1]))
+        assert rows == list(BOUND_KINDS.items())
         assert {k for k, kind in BOUND_KINDS.items() if kind == "explicit"} == {"thm41", "cor_opt"}
         assert set(BOUND_KINDS.values()) == {"explicit", "order"}
 

@@ -64,7 +64,7 @@ def test_basic_corpus_cycles_support_density():
 @pytest.mark.parametrize("ratio, fails", [(12.0, True), (0.09, True), (9.9, False)])
 def test_equiv_envelope_is_one_tenth_to_ten(monkeypatch, ratio, fails):
     monkeypatch.setattr(checks, "equivalence_report",
-                        lambda *args: {"ratios": {"rowmax": {"gdot": ratio}}})
+                        lambda p, estimates: {"ratios": {"rowmax": {"gdot": ratio}}})
     failures, _ = checks.equiv(["wigner:d=2"], 2, 0)
     assert failures == ([{"family": "wigner:d=2", "pair": ["rowmax", "gdot"], "ratio": ratio}]
                         if fails else [])

@@ -263,7 +263,8 @@ class TestVerifyCommand:
         ("slice", "slicing", "verify_slice_inequality", lambda *args: {"holds": False},
          {"family", "outcome"}),
         ("equiv", None, "equivalence_report",
-         lambda *args: {"ratios": {"norm": {"rowmax": 100.0}}}, {"family", "pair", "ratio"}),
+         lambda p, estimates: {"ratios": {"norm": {"rowmax": 100.0}}},
+         {"family", "pair", "ratio"}),
     ], ids=["basic", "comparison", "split", "slice", "equiv"])
     def test_failing_trials_exit_2(self, capsys, monkeypatch, check, module, name, fake, keys):
         monkeypatch.setattr(getattr(cli.checks, module) if module else cli.checks, name, fake)

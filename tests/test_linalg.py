@@ -173,6 +173,20 @@ class TestOperatorNorm:
             a = random_symmetric(9, seed=seed)
             assert operator_norm(a) == pytest.approx(spectral_norm(a), rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(7, 4, 9), (5, 9, 4), (6, 1, 1), (3, 12, 12)])
+    def test_stack_rows_equal_the_matrix_call(self, shape):
+        a = np.random.default_rng(shape[1]).standard_normal(shape)
+        a[1] = 0.0  # a zero matrix inside the stack
+        norms = operator_norm(a)
+        assert norms.shape == shape[:1]
+        assert norms.tolist() == [operator_norm(m) for m in a]
+        assert norms[1] == 0.0
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (4, 0, 5), (4, 5, 0), (0, 3, 5), (0, 3)])
+    def test_zero_and_empty_give_zero(self, shape):
+        norms = operator_norm(np.zeros(shape))
+        assert np.shape(norms) == shape[:-2] and np.all(norms == 0.0)
+
 
 def _allclose_rule(a):
     # The symmetry rule before the one-pass check.  On NaN input its atol is

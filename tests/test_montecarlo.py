@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specbounds import cli, montecarlo
-from specbounds.checks import equivalence_report
+from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_decay,
@@ -239,21 +239,25 @@ class TestDeterminism:
         assert est_norm(p, 100, 1).mean != est_norm(p, 100, 2).mean
 
 
+def _equivalence_report(p, replicates, seed):
+    return equivalence_report(p, estimate(p, EQUIV_QUANTITIES, replicates, seed))
+
+
 class TestEquivalenceReport:
     def test_zero_profile_convention(self):
-        report = equivalence_report(ZERO4, 50, 0)
+        report = _equivalence_report(ZERO4, 50, 0)
         assert all(value == 0.0 for value in report["means"].values())
         for row in report["ratios"].values():
             assert all(ratio == 1.0 for ratio in row.values())
 
     def test_wigner_ratios_in_envelope(self):
-        report = equivalence_report(gen_wigner(32), 100, 3)
+        report = _equivalence_report(gen_wigner(32), 100, 3)
         for row in report["ratios"].values():
             for ratio in row.values():
                 assert 0.1 <= ratio <= 10.0
 
     def test_contains_all_four_quantities(self):
-        report = equivalence_report(gen_diagonal_unit(8), 50, 0)
+        report = _equivalence_report(gen_diagonal_unit(8), 50, 0)
         assert set(report["means"]) == {
             "rowmax",
             "gdot",
@@ -262,8 +266,13 @@ class TestEquivalenceReport:
         }
         assert report["replicates"] == 50 and report["seed"] == 0
 
+    def test_other_estimates_are_ignored(self):
+        p = gen_wigner(6)
+        more = estimate(p, ("ymax", "norm", *EQUIV_QUANTITIES), 40, 2)
+        assert equivalence_report(p, more) == _equivalence_report(p, 40, 2)
+
     def test_diagonal_ratio_matrix_consistency(self):
-        report = equivalence_report(gen_diagonal_unit(8), 50, 0)
+        report = _equivalence_report(gen_diagonal_unit(8), 50, 0)
         means = report["means"]
         ratios = report["ratios"]
         for a in means:
@@ -347,8 +356,13 @@ class TestEachXBlockDrawnOnce:
         assert len(calls) == self.BLOCKS
 
     def test_equivalence_report(self, monkeypatch):
+        # the norm and the report's estimates in one pass; the report draws
+        # nothing
         calls = _count_sample_X(monkeypatch)
-        equivalence_report(gen_wigner(self.D), self.REPLICATES, 0)
+        p = gen_wigner(self.D)
+        est = estimate(p, ("norm", *EQUIV_QUANTITIES), self.REPLICATES, 0)
+        assert len(calls) == self.BLOCKS
+        equivalence_report(p, est)
         assert len(calls) == self.BLOCKS
 
 
@@ -546,6 +560,39 @@ class TestBlockNorms:
         assert shapes and all(shape[1:] == (1, 1) for shape in shapes)
         # 1 x 1 eigensolves return |X_ii| exactly
         assert est["norm"].to_dict() == {**est["entrymax"].to_dict(), "quantity": "norm"}
+
+
+class TestBlockPathMatchesDense:
+    # estimate reads X in its support blocks; the reference reduces the
+    # dense sample_X stacks of x_stacks, with the norm from block_norms on
+    # the dense stack.
+    REPLICATES, SEED = 40, 11
+    SPECS = ["wigner:d=64", "band:d=40,w=3", "kronecker_flip:d=16,seed=9",
+             "diagonal_decay:d=256", "diagonal_unit:d=9", "block_diagonal",
+             "sparse_random:d=48,density=0.05,seed=9", "sparse_random:d=128,density=0.01,seed=4"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_equal_to_dense_reductions(self, spec, block_diagonal_profile):
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        blocks = support_blocks(p)
+        values = {"norm": [], "rowmax": [], "entrymax": []}
+        for x in x_stacks(p, self.REPLICATES, self.SEED):
+            values["norm"].append(block_norms(x, blocks))
+            values["rowmax"].append(np.sqrt(np.max(np.sum(x * x, axis=2), axis=1)))
+            values["entrymax"].append(np.max(np.abs(x), axis=(1, 2)))
+        est = estimate(p, tuple(values), self.REPLICATES, self.SEED)
+        for quantity, stacks in values.items():
+            v = np.concatenate(stacks)
+            assert (est[quantity].mean, est[quantity].stderr) == (
+                float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(self.REPLICATES)))
+
+    @pytest.mark.parametrize("spec, dense", [("wigner:d=16", True), ("diagonal_decay:d=16", False),
+                                             ("block_diagonal", False)])
+    def test_dense_x_only_for_one_block(self, monkeypatch, spec, dense, block_diagonal_profile):
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        calls = _count_sample_X(monkeypatch)
+        estimate(p, ("norm", "rowmax", "entrymax"), 10, self.SEED)
+        assert len(calls) == (1 if dense else 0)
 
 
 def _two_by_two_norm_oracle(p, intervals=2000):

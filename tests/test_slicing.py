@@ -10,10 +10,12 @@ from specbounds.generators import (
     gen_diagonal_unit,
     gen_sparse_random,
     gen_wigner,
+    parse_family_spec,
     random_profile,
 )
+from specbounds.linalg import operator_norm
 from specbounds.montecarlo import est_norm
-from specbounds.profile import StdDevProfile, gamma_star, rearrange
+from specbounds.profile import StdDevProfile, gamma_star, rearrange, support_blocks
 from specbounds.slicing import (
     bvhrect_bound,
     decompose,
@@ -153,8 +155,8 @@ class TestVerifySliceInequality:
         assert verify_slice_inequality(block_diagonal_profile, 50, 4)["holds"]
 
     def test_full_norm_from_block_eigensolves(self, monkeypatch):
-        # ||X|| of a diagonal X: one stacked 1 x 1 eigensolve per stack and
-        # no singular values of the full matrix; Xlow and Xup keep theirs
+        # ||X|| of a diagonal X: one stacked 1 x 1 eigensolve per stack; the
+        # triangular and slice norms are singular values of 1 x 1 blocks
         replicates = 5
         eig_shapes, svd_shapes = [], []
         for module, name, shapes in ((montecarlo, "spectral_norm", eig_shapes),
@@ -165,7 +167,7 @@ class TestVerifySliceInequality:
         outcome = verify_slice_inequality(gen_diagonal_decay(256), replicates, 7)
         assert outcome["holds"]
         assert eig_shapes == [(256, 1, 1)] * replicates
-        assert svd_shapes.count((256, 256)) == 2 * replicates
+        assert svd_shapes and all(shape[-2:] == (1, 1) for shape in svd_shapes)
 
     @staticmethod
     def _assert_fails_with_finite_ratios(outcome):
@@ -178,12 +180,66 @@ class TestVerifySliceInequality:
         # square: faked slice norms of 1 (nonzero) and triangular norms of 10
         # give ||Xlow||^2 = 100 > 2 = sum_n ||X^(n)||^2.
         monkeypatch.setattr(slicing, "operator_norm",
-                            lambda a: 10.0 if a.shape[0] == a.shape[1] else 1.0)
+                            lambda a: np.full(len(a), 10.0 if a.shape[-2] == a.shape[-1] else 1.0))
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
 
     def test_fails_when_full_norm_exceeds_split_sum(self, monkeypatch):
         monkeypatch.setattr(slicing, "block_norms", lambda stack, blocks: np.full(len(stack), 1e6))
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
+
+
+def _dense_slice_reference(p, replicates, seed):
+    """verify_slice_inequality as a loop over whole matrices: the triangular
+    and slice norms are singular values of d-column matrices, one replicate
+    at a time."""
+    bands = slice_bands(p.d)
+    pstar = rearrange(p)
+    blocks = support_blocks(pstar)
+    rows = []
+    for stack in montecarlo.x_stacks(pstar, replicates, seed):
+        for x, full in zip(stack, montecarlo.block_norms(stack, blocks)):
+            xlow = np.tril(x)
+            slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
+            low = operator_norm(xlow)
+            low_sq = low ** 2
+            total = sum(slice_norms_sq)
+            split_sum = operator_norm(np.triu(x, 1)) + low
+            fails = (low_sq > total + 1e-9 * (1.0 + total)
+                     or full > split_sum + 1e-9 * (1.0 + split_sum))
+            rows.append((not fails, slicing._ratio(low_sq, total),
+                         slicing._ratio(low_sq, max(slice_norms_sq))))
+    holds, ratio_sum, ratio_slice = zip(*rows)
+    return {
+        "holds": all(holds),
+        "max_ratio": max(ratio_sum),
+        "ratio_slice_min": min(ratio_slice),
+        "ratio_slice_max": max(ratio_slice),
+        "replicates": replicates,
+        "seed": seed,
+    }
+
+
+class TestBlockPathMatchesDense:
+    REPLICATES, SEED = 8, 5
+
+    @pytest.mark.parametrize("spec", ["wigner:d=64", "band:d=40,w=3",
+                                      "kronecker_flip:d=16,seed=9",
+                                      "diagonal_decay:d=256", "diagonal_unit:d=9"])
+    def test_one_block_or_blocks_of_one_are_bit_identical(self, spec):
+        p = parse_family_spec(spec)
+        assert (verify_slice_inequality(p, self.REPLICATES, self.SEED)
+                == _dense_slice_reference(p, self.REPLICATES, self.SEED))
+
+    @pytest.mark.parametrize("spec", ["block_diagonal", "sparse_random:d=48,density=0.05,seed=9"])
+    def test_several_blocks_agree_to_rounding(self, spec, block_diagonal_profile):
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        sizes = [idx.shape[1] for idx in support_blocks(rearrange(p)) for _ in idx]
+        assert len(sizes) > 1 and max(sizes) >= 2
+        block = verify_slice_inequality(p, self.REPLICATES, self.SEED)
+        dense = _dense_slice_reference(p, self.REPLICATES, self.SEED)
+        assert block["holds"] == dense["holds"]
+        for key in ("max_ratio", "ratio_slice_min", "ratio_slice_max"):
+            assert block[key] == pytest.approx(dense[key], rel=1e-12, abs=0.0)
 
 
 class TestSummary:
