@@ -25,13 +25,13 @@ estimate draws X through x_blocks: each stream block still draws all
 d(d+1)/2 normals, which are gathered straight into one (k, m, s, s) stack
 per block size, and ||X||, the largest row norm and the largest entry are
 the largest of their values over the blocks; ||X|| takes one stacked
-eigensolve per block size (block_norms).  A connected profile is one
-block, X itself, drawn by sample_X and solved whole as one d x d
-eigensolve; a diagonal one is d 1 x 1 blocks, which return |X_ii|
-exactly.  On a profile with several components of size >= 2 the block
-eigensolves may differ from a whole-matrix eigensolve in the last bits;
-rowmax and entrymax keep the bits of the dense X.  est_distance_sq reads
-the dense x_stacks.
+eigensolve per block size (block_norms).  Every profile takes this one
+path: a connected profile is one block, X itself, gathered as a (k, 1,
+d, d) stack and solved in one stacked d x d eigensolve; a diagonal one
+is d 1 x 1 blocks, which return |X_ii| exactly.  On a profile with
+several components of size >= 2 the block eigensolves may differ from a
+whole-matrix eigensolve in the last bits; rowmax and entrymax keep the
+bits of the dense X.  est_distance_sq reads the dense x_stacks.
 
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
@@ -148,24 +148,13 @@ def x_blocks(p: StdDevProfile, blocks: list[np.ndarray], replicates: int, seed: 
     row c of the entry.  Each stream block draws all d(d+1)/2 normals, as
     x_stacks does, and gathers each block straight from them, so entries
     keep their bits and no d x d matrix is built.  A connected profile is
-    one block, X itself, and its items are the (k, d, d) stacks of x_stacks.
+    the one block [arange(d)], X itself, whose stack is (k, 1, d, d).
     """
-    if _connected(blocks):
-        yield from x_stacks(p, replicates, seed)
-        return
     pos = _lower_positions(p.d)
     maps = [(pos[idx[:, :, None], idx[:, None, :]], p.b[idx[:, :, None], idx[:, None, :]])
             for idx in blocks]
-    n = p.d * (p.d + 1) // 2
-    for block, k in _blocks(replicates, n):
-        lower = RandomStream(seed, X_TAG, block).generator().standard_normal((k, n))
+    for lower in _normal_stacks(p.d * (p.d + 1) // 2, replicates, seed, X_TAG):
         yield [_gather(lower, at, b) for at, b in maps]
-
-
-def block_stacks(x) -> list[np.ndarray]:
-    """The (k, m, s, s) block stacks of an x_blocks item: the item itself,
-    or the one block [x[:, None]] of a connected profile's (k, d, d) stack."""
-    return [x[:, None]] if isinstance(x, np.ndarray) else x
 
 
 def blockwise_max(norm, stacks: list[np.ndarray]) -> np.ndarray:
@@ -192,9 +181,9 @@ def estimate(
     values = {q: [] for q in quantities if q in X_QUANTITIES}
     if values:
         blocks = support_blocks(p)
-        for x in x_blocks(p, blocks, replicates, seed):
-            for quantity, stacks in values.items():
-                stacks.append(_x_values(quantity, x, blocks, p.d))
+        for stacks in x_blocks(p, blocks, replicates, seed):
+            for quantity, per_block in values.items():
+                per_block.append(_x_values(quantity, stacks, blocks, p.d))
     others = {"gdot": est_gdot, "ymax": est_ymax}
     return {q: others[q](p, replicates, seed) if q in others
             else _reduce(values[q], replicates, seed, q) for q in quantities}
@@ -215,29 +204,18 @@ def est_entrymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     return estimate(p, ("entrymax",), replicates, seed)["entrymax"]
 
 
-def block_norms(x, blocks: list[np.ndarray]) -> np.ndarray:
-    """||X|| for each of the k draws of X on a profile whose support_blocks
-    are ``blocks``: the largest norm among X's diagonal blocks, with one
-    stacked eigensolve per block size.  x is a (k, d, d) stack of X, or an
-    item of x_blocks."""
+def block_norms(stacks: list[np.ndarray]) -> np.ndarray:
+    """||X|| for each of the k draws of an x_blocks item: the largest norm
+    among X's diagonal blocks, with one stacked eigensolve per block size."""
     # spectral_norm is looked up at call time, so a wrapper installed on
     # this module sees every eigensolve.
-    if isinstance(x, np.ndarray):
-        if _connected(blocks):
-            return spectral_norm(x)  # the block is x itself
-        x = [x[:, idx[:, :, None], idx[:, None, :]] for idx in blocks]
-    return blockwise_max(spectral_norm, x)
+    return blockwise_max(spectral_norm, stacks)
 
 
-def _connected(blocks: list[np.ndarray]) -> bool:
-    return len(blocks) == 1 and len(blocks[0]) == 1
-
-
-def _x_values(quantity: str, x, blocks, d: int) -> np.ndarray:
-    # One value per draw of the x_blocks item x.
+def _x_values(quantity: str, stacks, blocks, d: int) -> np.ndarray:
+    # One value per draw of the x_blocks item stacks.
     if quantity == "norm":
-        return block_norms(x, blocks)
-    stacks = block_stacks(x)
+        return block_norms(stacks)
     if quantity == "rowmax":
         return np.sqrt(_max_per_draw(_row_sums_sq(stack, idx, d)
                                      for stack, idx in zip(stacks, blocks)))

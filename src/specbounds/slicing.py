@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import operator_norm
-from .montecarlo import block_norms, block_stacks, blockwise_max, x_blocks
+from .montecarlo import block_norms, blockwise_max, x_blocks
 from .profile import StdDevProfile, rearrange, support_blocks
 
 
@@ -74,11 +74,12 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     and reports the extreme observed ratios of ||Xlow||^2 against both the
     sum and the max of the slice norms (both ratios are 1 by convention
     when everything vanishes).  Every norm is the largest over X's support
-    blocks: ||X|| comes from montecarlo.block_norms, once per stack, and the
-    triangular and slice norms are singular values per support block.  The
-    slice n of component C is tril(X)[C's rows in band n, C], and the
-    components of one size with as many rows in the band share one stacked
-    SVD.
+    blocks, read from the block stacks of each montecarlo.x_blocks item (a
+    connected profile is one block, X itself): ||X|| comes from
+    montecarlo.block_norms, once per item, and the triangular and slice
+    norms are singular values per support block.  The slice n of component
+    C is tril(X)[C's rows in band n, C], and the components of one size
+    with as many rows in the band share one stacked SVD.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -87,10 +88,9 @@ def verify_slice_inequality(p: StdDevProfile, replicates: int, seed: int) -> dic
     band_parts = [_band_parts(blocks, lo, hi) for lo, hi in slice_bands(p.d)]
     # One (holds, sum ratio, slice ratio) row per replicate.
     rows = []
-    for x in x_blocks(pstar, blocks, replicates, seed):
-        stacks = block_stacks(x)
+    for stacks in x_blocks(pstar, blocks, replicates, seed):
         lows = [np.tril(stack) for stack in stacks]
-        norms = [block_norms(x, blocks),
+        norms = [block_norms(stacks),
                  blockwise_max(operator_norm, lows),
                  blockwise_max(operator_norm, [np.triu(stack, 1) for stack in stacks]),
                  *(blockwise_max(operator_norm, [lows[g][:, comps[:, None], at]

@@ -15,3 +15,10 @@ def block_diagonal_profile() -> StdDevProfile:
         b[np.ix_(idx, idx)] = np.triu(block) + np.triu(block, 1).T
     b[4, 4] = 2.0
     return StdDevProfile(7, b)
+
+
+def dense_blocks(x: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The (k, m, s, s) stacks of X's diagonal blocks over ``blocks``
+    (support_blocks), gathered from a (k, d, d) stack of whole matrices:
+    the shape of a montecarlo.x_blocks item."""
+    return [x[:, idx[:, :, None], idx[:, None, :]] for idx in blocks]

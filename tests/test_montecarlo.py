@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import dense_blocks
 
 from specbounds import cli, montecarlo
 from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
@@ -33,6 +34,7 @@ from specbounds.montecarlo import (
     est_ymax,
     estimate,
     sample_X,
+    x_blocks,
     x_stacks,
 )
 from specbounds.profile import StdDevProfile, support_blocks
@@ -281,16 +283,18 @@ class TestEquivalenceReport:
                 assert ratios[a][b] == pytest.approx(means[a] / means[b])
 
 
-def _count_sample_X(monkeypatch):
-    calls = []
-    original = montecarlo.sample_X
+def _count_x_draws(monkeypatch):
+    # The X stream blocks drawn: the RandomStream.generator calls on the X tag.
+    draws = []
+    original = RandomStream.generator
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(stream):
+        if stream.tag == X_TAG:
+            draws.append(stream)
+        return original(stream)
 
-    monkeypatch.setattr(montecarlo, "sample_X", counted)
-    return calls
+    monkeypatch.setattr(RandomStream, "generator", counted)
+    return draws
 
 
 class TestEstX:
@@ -327,7 +331,7 @@ class TestEstX:
             assert mixed[single.quantity].to_dict() == single.to_dict()
 
     def test_replicate_floor_draws_nothing(self, monkeypatch):
-        calls = _count_sample_X(monkeypatch)
+        calls = _count_x_draws(monkeypatch)
         with pytest.raises(ValueError, match="replicates must be >= 2"):
             estimate(gen_wigner(4), ("norm", "rowmax", "entrymax"), 1, self.SEED)
         assert calls == []
@@ -344,13 +348,20 @@ class TestEachXBlockDrawnOnce:
     BLOCKS = 3
 
     def test_mc_all(self, monkeypatch, capsys):
-        calls = _count_sample_X(monkeypatch)
+        calls = _count_x_draws(monkeypatch)
         assert cli.main(["mc", "--family", f"band:d={self.D},w=3", "--quantity", "all",
                          "--replicates", str(self.REPLICATES)]) == 0
         assert len(calls) == self.BLOCKS
 
+    def test_mc_all_on_several_blocks(self, monkeypatch, capsys):
+        # 16 support blocks of one index each, all gathered from one draw
+        calls = _count_x_draws(monkeypatch)
+        assert cli.main(["mc", "--family", f"diagonal_decay:d={self.D}", "--quantity", "all",
+                         "--replicates", str(self.REPLICATES)]) == 0
+        assert len(calls) == self.BLOCKS
+
     def test_scan_row(self, monkeypatch, capsys):
-        calls = _count_sample_X(monkeypatch)
+        calls = _count_x_draws(monkeypatch)
         assert cli.main(["scan", "--families", "wigner", "--dims", str(self.D),
                          "--replicates", str(self.REPLICATES)]) == 0
         assert len(calls) == self.BLOCKS
@@ -358,7 +369,7 @@ class TestEachXBlockDrawnOnce:
     def test_equivalence_report(self, monkeypatch):
         # the norm and the report's estimates in one pass; the report draws
         # nothing
-        calls = _count_sample_X(monkeypatch)
+        calls = _count_x_draws(monkeypatch)
         p = gen_wigner(self.D)
         est = estimate(p, ("norm", *EQUIV_QUANTITIES), self.REPLICATES, 0)
         assert len(calls) == self.BLOCKS
@@ -542,16 +553,15 @@ class TestBlockNorms:
         p = block_diagonal_profile
         x = sample_X(p, RandomStream(self.SEED, X_TAG, 0), 4)
         shapes = _record_spectral_norm_shapes(monkeypatch)
-        block_norms(x, support_blocks(p))
+        block_norms(dense_blocks(x, support_blocks(p)))
         assert shapes == [(8, 1, 1), (4, 2, 2), (4, 3, 3)]
 
     def test_connected_profile_solves_the_stack_itself(self, monkeypatch):
-        p = gen_wigner(6)
-        x = sample_X(p, RandomStream(self.SEED, X_TAG, 0), 3)
-        seen = []
-        monkeypatch.setattr(montecarlo, "spectral_norm", lambda a: seen.append(a) or 0.0)
-        block_norms(x, support_blocks(p))
-        assert len(seen) == 1 and seen[0] is x
+        # one block, X itself: one stacked d x d eigensolve per stream block
+        k = _documented_k(6 * 7 // 2)
+        shapes = _record_spectral_norm_shapes(monkeypatch)
+        estimate(gen_wigner(6), ("norm",), 2 * k + 3, self.SEED)
+        assert shapes == [(k, 6, 6), (k, 6, 6), (3, 6, 6)]
 
     def test_diagonal_decay_256_needs_no_full_eigensolve(self, monkeypatch):
         p = gen_diagonal_decay(256)
@@ -565,7 +575,7 @@ class TestBlockNorms:
 class TestBlockPathMatchesDense:
     # estimate reads X in its support blocks; the reference reduces the
     # dense sample_X stacks of x_stacks, with the norm from block_norms on
-    # the dense stack.
+    # the blocks gathered from the dense stack.
     REPLICATES, SEED = 40, 11
     SPECS = ["wigner:d=64", "band:d=40,w=3", "kronecker_flip:d=16,seed=9",
              "diagonal_decay:d=256", "diagonal_unit:d=9", "block_diagonal",
@@ -577,7 +587,7 @@ class TestBlockPathMatchesDense:
         blocks = support_blocks(p)
         values = {"norm": [], "rowmax": [], "entrymax": []}
         for x in x_stacks(p, self.REPLICATES, self.SEED):
-            values["norm"].append(block_norms(x, blocks))
+            values["norm"].append(block_norms(dense_blocks(x, blocks)))
             values["rowmax"].append(np.sqrt(np.max(np.sum(x * x, axis=2), axis=1)))
             values["entrymax"].append(np.max(np.abs(x), axis=(1, 2)))
         est = estimate(p, tuple(values), self.REPLICATES, self.SEED)
@@ -589,10 +599,33 @@ class TestBlockPathMatchesDense:
     @pytest.mark.parametrize("spec, dense", [("wigner:d=16", True), ("diagonal_decay:d=16", False),
                                              ("block_diagonal", False)])
     def test_dense_x_only_for_one_block(self, monkeypatch, spec, dense, block_diagonal_profile):
+        # every profile is gathered per support block, without sample_X; only
+        # a connected one has the whole dense X as its one block
         p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
-        calls = _count_sample_X(monkeypatch)
+        monkeypatch.setattr(montecarlo, "sample_X",
+                            lambda *args: pytest.fail("sample_X called"))
         estimate(p, ("norm", "rowmax", "entrymax"), 10, self.SEED)
-        assert len(calls) == (1 if dense else 0)
+        (stacks,) = x_blocks(p, support_blocks(p), 10, self.SEED)
+        assert (len(stacks) == 1 and stacks[0].shape[1:] == (1, p.d, p.d)) == dense
+
+
+class TestXBlocks:
+    SEED = 808
+    SPECS = ["wigner:d=16", "band:d=16,w=3", "diagonal_decay:d=16", "block_diagonal",
+             "sparse_random:d=5,density=0"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_one_shape_for_every_profile(self, spec, block_diagonal_profile):
+        # each item is a list with one (k, m, s, s) stack per (m, s) entry of
+        # support_blocks, connected profiles included
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        blocks = support_blocks(p)
+        k = _documented_k(p.d * (p.d + 1) // 2)
+        items = list(x_blocks(p, blocks, 2 * k + 3, self.SEED))
+        for item, rows in zip(items, (k, k, 3), strict=True):
+            assert isinstance(item, list) and len(item) == len(blocks)
+            assert [stack.shape for stack in item] == [(rows, *idx.shape, idx.shape[1])
+                                                      for idx in blocks]
 
 
 def _two_by_two_norm_oracle(p, intervals=2000):

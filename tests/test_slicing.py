@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_blocks
 
 from specbounds import montecarlo, slicing
 from specbounds.generators import (
@@ -184,7 +185,7 @@ class TestVerifySliceInequality:
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
 
     def test_fails_when_full_norm_exceeds_split_sum(self, monkeypatch):
-        monkeypatch.setattr(slicing, "block_norms", lambda stack, blocks: np.full(len(stack), 1e6))
+        monkeypatch.setattr(slicing, "block_norms", lambda stacks: np.full(len(stacks[0]), 1e6))
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
 
 
@@ -197,7 +198,7 @@ def _dense_slice_reference(p, replicates, seed):
     blocks = support_blocks(pstar)
     rows = []
     for stack in montecarlo.x_stacks(pstar, replicates, seed):
-        for x, full in zip(stack, montecarlo.block_norms(stack, blocks)):
+        for x, full in zip(stack, montecarlo.block_norms(dense_blocks(stack, blocks))):
             xlow = np.tril(x)
             slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
             low = operator_norm(xlow)
