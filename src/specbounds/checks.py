@@ -4,12 +4,14 @@ the equivalence report that the equiv suite reads.
 
 The corpus suites read their per-trial streams from seeding._trial_batches,
 in batches of seeding._CHUNK trials; each equals the default_rng([seed, t])
-stream it replaces.  The basic and comparison suites read basic_corpus in
-chunks of the same size, group each chunk by d and evaluate the geometry
-kernels on (k, d, d) stacks, with one stacked eigensolve for B- in the
-comparison suite.  Each value keeps the bits of the per-trial public call,
-and the failures come in trial order, capped at 20, as a per-trial loop
-gives them.
+stream it replaces.  Every corpus suite groups each batch by d and works on
+(k, d, d) stacks.  The basic and comparison suites read basic_corpus in
+chunks of the same size and evaluate the geometry kernels on the stacks,
+with one stacked eigensolve for B- in the comparison suite.  The split
+suite gives each group one linalg.psd_split and one
+linalg.split_invariant_violations call, so one stacked eigensolve.  Each
+value keeps the bits of the per-trial public call, and the failures come
+in trial order, capped at 20, as a per-trial loop gives them.
 """
 
 from __future__ import annotations
@@ -31,20 +33,29 @@ EQUIV_QUANTITIES = ("rowmax", "entrymax", "gdot")
 def basic_corpus(trials: int, seed: int):
     """Random (profile, v, w, gamma) tuples: d in 2..16, gamma cycling
     {0.1, 1, 10}, support density cycling {1, 0.6, 0.3}."""
-    for t, rng, d, profile_rng in _trial_streams(trials, seed, 17):
-        profile = _random_profile(d, profile_rng, (1.0, 0.6, 0.3)[(t // 3) % 3])
-        v, w = rng.standard_normal((2, d))  # v's d normals, then w's
-        yield profile, v, w, (0.1, 1.0, 10.0)[t % 3]
+    for batch in _trial_stream_batches(trials, seed, 17):
+        for t, rng, d, profile_rng in zip(*batch):
+            profile = _random_profile(d, profile_rng, (1.0, 0.6, 0.3)[(t // 3) % 3])
+            v, w = rng.standard_normal((2, d))  # v's d normals, then w's
+            yield profile, v, w, (0.1, 1.0, 10.0)[t % 3]
 
 
-def _trial_streams(trials: int, seed: int, d_stop: int):
-    # (t, rng, d, inner) for each trial t: rng = default_rng([seed, t]),
-    # d = rng.integers(2, d_stop), and inner = default_rng([seed * 1_000_003
-    # + t, d]), the stream of trial t's random matrix.
+def _trial_stream_batches(trials: int, seed: int, d_stop: int):
+    # (ts, streams, ds, inner) for each batch of _trial_batches: for trial
+    # ts[k], streams[k] = default_rng([seed, t]), ds[k] =
+    # streams[k].integers(2, d_stop), and inner[k] = default_rng([seed *
+    # 1_000_003 + t, d]), the stream of trial t's random matrix.
     for ts, streams in _trial_batches(trials, seed):
         ds = [int(rng.integers(2, d_stop)) for rng in streams]
-        inner = _streams([seed * 1_000_003 + t, d] for t, d in zip(ts, ds))
-        yield from zip(ts, streams, ds, inner)
+        yield ts, streams, ds, _streams([seed * 1_000_003 + t, d] for t, d in zip(ts, ds))
+
+
+def _rows_by_d(ds) -> dict:
+    # {d: the indices k with ds[k] == d, in order}
+    groups = {}
+    for k, d in enumerate(ds):
+        groups.setdefault(d, []).append(k)
+    return groups
 
 
 def _capped(results, margin_key) -> tuple[list, dict]:
@@ -71,11 +82,8 @@ def _corpus_results(trials: int, seed: int, test):
     cases = basic_corpus(trials, seed)
     start = 0
     while chunk := list(itertools.islice(cases, _CHUNK)):
-        groups = {}
-        for k, (profile, *_) in enumerate(chunk):
-            groups.setdefault(profile.d, []).append(k)
         margins, records = np.empty(len(chunk)), [None] * len(chunk)
-        for d, rows in groups.items():
+        for d, rows in _rows_by_d([profile.d for profile, *_ in chunk]).items():
             profiles, v, w, gamma = zip(*(chunk[k] for k in rows))
             margins[rows], failing, named = test(np.array([p.b for p in profiles]) ** 2,
                                                  np.array(v), np.array(w), np.array(gamma))
@@ -108,13 +116,22 @@ def comparison(trials: int, seed: int, tol: float) -> tuple[list, dict]:
 
 
 def split(trials: int, seed: int) -> tuple[list, dict]:
-    """The B = B+ - B- invariants on random symmetric matrices, d in 2..32."""
+    """The B = B+ - B- invariants on random symmetric matrices, d in 2..32,
+    scaled by 0.01, 1 or 100.  Each batch of trials is grouped by d, and
+    each group is split and checked as one (k, d, d) stack."""
     def results():
-        for t, rng, d, matrix_rng in _trial_streams(trials, seed, 33):
-            scale = float(rng.choice([0.01, 1.0, 100.0]))
-            a = _random_symmetric(d, matrix_rng, scale)
-            problems = linalg.split_invariant_violations(a, linalg.psd_split(a))
-            yield 0.0, {"trial": t, "d": d, "problems": problems} if problems else None
+        for ts, streams, ds, inner in _trial_stream_batches(trials, seed, 33):
+            # rng.choice([0.01, 1.0, 100.0]), drawn as the index it takes
+            scales = [(0.01, 1.0, 100.0)[int(rng.integers(0, 3))] for rng in streams]
+            problems = [None] * len(ts)
+            for d, rows in _rows_by_d(ds).items():
+                stack = _random_symmetric(d, [inner[k] for k in rows], [scales[k] for k in rows])
+                found = linalg.split_invariant_violations(stack, linalg.psd_split(stack))
+                for k, matrix_problems in zip(rows, found):
+                    problems[k] = matrix_problems
+            for t, d, matrix_problems in zip(ts, ds, problems):
+                yield 0.0, ({"trial": t, "d": d, "problems": matrix_problems}
+                            if matrix_problems else None)
     return _capped(results(), None)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds, checks, geometry, montecarlo
 from .checks import basic_corpus  # noqa: F401  (re-exported: read as cli.basic_corpus)
-from .generators import parse_family_spec
+from .generators import _check_memory, parse_family_spec
 from .profile import StdDevProfile, load_profile
 
 SCHEMA_VERSION = 1
@@ -107,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # One float64 value per replicate: a run whose values alone exceed
+        # physical memory is refused before anything is drawn.
+        replicates = getattr(args, "replicates", 0)  # ball has none
+        _check_memory("--replicates", replicates, 8 * replicates)
         started = time.perf_counter()
         handler = {"bounds": _cmd_bounds, "mc": _cmd_mc, "verify": _cmd_verify,
                    "ball": _cmd_ball, "scan": _cmd_scan}[args.command]

@@ -127,13 +127,14 @@ def _upper_mask(d: int) -> np.ndarray:
 def random_symmetric(d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Random symmetric Gaussian matrix (A + A.T) / 2, for eigensolver
     stress corpora."""
-    return _random_symmetric(d, np.random.default_rng([seed, d]), scale)
+    return _random_symmetric(d, [np.random.default_rng([seed, d])], [scale])[0]
 
 
-def _random_symmetric(d: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    # random_symmetric's body, drawing from the given stream.
-    a = rng.standard_normal((d, d)) * scale
-    return (a + a.T) / 2.0
+def _random_symmetric(d: int, rngs, scales) -> np.ndarray:
+    # random_symmetric's body for a (k, d, d) stack: matrix k draws from
+    # the stream rngs[k] at scale scales[k].
+    a = np.array([rng.standard_normal((d, d)) for rng in rngs]) * np.array(scales)[:, None, None]
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def make_family(name: str, params: dict) -> StdDevProfile:
@@ -211,14 +212,18 @@ def _check_dim(d: int) -> None:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     # The profile, its square, and one X block with its gather: about four
-    # d x d float64 arrays, refused before any of them is allocated.  The
-    # size is an exact int, so even d = 1e308 is refused with a message.
-    need = 4 * 8 * d * d
+    # d x d float64 arrays, refused before any of them is allocated.
+    _check_memory("d", d, 4 * 8 * d * d)
+
+
+def _check_memory(name: str, value: int, need: int) -> None:
+    # Refuses need bytes, for name=value, above physical memory.  The size
+    # is an exact int, so even d = 1e308 is refused with a message.
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > physical:
-        # A d past 15 digits is shown as 1e+308, not in 309 digits.
-        shown = d if d < 10**15 else f"{Decimal(d).normalize(Context(prec=6)):g}"
-        raise ValueError(f"out of memory: d={shown} needs about {_binary_size(need)}, "
+        # A value past 15 digits is shown as 1e+308, not in 309 digits.
+        shown = value if value < 10**15 else f"{Decimal(value).normalize(Context(prec=6)):g}"
+        raise ValueError(f"out of memory: {name}={shown} needs about {_binary_size(need)}, "
                          f"more than the {_binary_size(physical)} of physical memory")
 
 

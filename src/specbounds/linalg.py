@@ -24,7 +24,10 @@ class SpectralSplit:
 
     B = bplus - bminus with bplus, bminus PSD and bplus @ bminus ~ 0;
     factor_l is d x r with factor_l @ factor_l.T = bminus, built only from
-    eigenvalues below the clipping threshold.
+    eigenvalues below the clipping threshold.  The split of a (k, d, d)
+    stack holds the k splits as stacks, and its factor_l is (k, d, d): the
+    factor of matrix i is column-padded with a zero column for each of its
+    other eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -45,19 +48,22 @@ def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_split(b: np.ndarray) -> SpectralSplit:
-    """Split a symmetric matrix into positive and negative spectral parts."""
-    eigenvalues, eigenvectors = sym_eig(b)
-    bplus = _spectral_part(eigenvalues, eigenvectors, 1.0)
-    bminus = _spectral_part(eigenvalues, eigenvectors, -1.0)
-    clip = CLIP_REL * np.linalg.norm(b, "fro")
-    keep = eigenvalues < -clip
-    factor_l = eigenvectors[:, keep] * np.sqrt(-eigenvalues[keep])
+    """Split a symmetric matrix into positive and negative spectral parts;
+    for a (k, d, d) stack, split each matrix, with one stacked eigensolve.
+
+    One matrix is the k = 1 case: LAPACK and the matmuls run per matrix, so
+    matrix i of a stack gets the bits of psd_split(b[i]), apart from the
+    zero columns of its factor_l.  Symmetry, finiteness and the clip of
+    the factor are judged per matrix, on the matrix's own scale.
+    """
+    b = _as_symmetric(b, stack=True)
+    eigenvalues, eigenvectors = _descending_eigh(b)
     return SpectralSplit(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        bplus=bplus,
-        bminus=bminus,
-        factor_l=factor_l,
+        bplus=_spectral_part(eigenvalues, eigenvectors, 1.0),
+        bminus=_spectral_part(eigenvalues, eigenvectors, -1.0),
+        factor_l=_clipped_factor(b, eigenvalues, eigenvectors),
     )
 
 
@@ -80,36 +86,41 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
-def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list[str]:
+def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list:
     """Check every SpectralSplit contract on one input; returns violation
-    descriptions (empty means the split is sound)."""
+    descriptions (empty means the split is sound).  For a (k, d, d) stack
+    and its split, returns the k lists of matrix i's violations, from
+    stacked products and one stacked eigvalsh over bplus and bminus; one
+    matrix is the k = 1 case.  Every threshold scales with the matrix's
+    own Frobenius norm."""
     b = np.asarray(b, dtype=np.float64)
-    fro = np.linalg.norm(b, "fro")
-    problems = []
-    recon = np.linalg.norm(
-        b - split.eigenvectors @ np.diag(split.eigenvalues) @ split.eigenvectors.T, "fro"
+    values, vectors = split.eigenvalues, split.eigenvectors
+    bplus, bminus, factor_l = split.bplus, split.bminus, split.factor_l
+    d = b.shape[-1]
+    fro = _fro(b)
+    smallest = np.min(np.linalg.eigvalsh(np.stack([bplus, bminus])), axis=-1)
+    recon = _fro(b - (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2))
+    ortho = _fro(vectors.swapaxes(-1, -2) @ vectors - np.eye(d))
+    parts = _fro(b - (bplus - bminus))
+    cross = _fro(bplus @ bminus)
+    factor = _fro(factor_l @ factor_l.swapaxes(-1, -2) - bminus)
+    # (description, value or None, failing), in the order they are reported
+    invariants = (
+        ("eigendecomposition residual", recon, recon > 1e-10 * (1.0 + fro)),
+        ("eigenvector orthonormality residual", ortho, ortho > 1e-10 * d),
+        ("eigenvalues not descending", None, (values[..., 1:] > values[..., :-1]).any(axis=-1)),
+        ("bplus - bminus residual", parts, parts > 1e-10 * (1.0 + fro)),
+        ("bplus @ bminus residual", cross, cross > 1e-8 * (1.0 + fro ** 2)),
+        ("bplus min eigenvalue", smallest[0], smallest[0] < -1e-10 * (1.0 + fro)),
+        ("bminus min eigenvalue", smallest[1], smallest[1] < -1e-10 * (1.0 + fro)),
+        ("factor residual", factor, factor > 1e-8 * (1.0 + fro)),
     )
-    if recon > 1e-10 * (1.0 + fro):
-        problems.append(f"eigendecomposition residual {recon:.3e}")
-    ortho = np.linalg.norm(split.eigenvectors.T @ split.eigenvectors - np.eye(b.shape[0]), "fro")
-    if ortho > 1e-10 * b.shape[0]:
-        problems.append(f"eigenvector orthonormality residual {ortho:.3e}")
-    if np.any(np.diff(split.eigenvalues) > 0):
-        problems.append("eigenvalues not descending")
-    parts = np.linalg.norm(b - (split.bplus - split.bminus), "fro")
-    if parts > 1e-10 * (1.0 + fro):
-        problems.append(f"bplus - bminus residual {parts:.3e}")
-    cross = np.linalg.norm(split.bplus @ split.bminus, "fro")
-    if cross > 1e-8 * (1.0 + fro ** 2):
-        problems.append(f"bplus @ bminus residual {cross:.3e}")
-    for name, part in (("bplus", split.bplus), ("bminus", split.bminus)):
-        smallest = float(np.min(np.linalg.eigvalsh(part)))
-        if smallest < -1e-10 * (1.0 + fro):
-            problems.append(f"{name} min eigenvalue {smallest:.3e}")
-    factor = np.linalg.norm(split.factor_l @ split.factor_l.T - split.bminus, "fro")
-    if factor > 1e-8 * (1.0 + fro):
-        problems.append(f"factor residual {factor:.3e}")
-    return problems
+    flags = np.reshape([failing for *_, failing in invariants], (len(invariants), -1))
+    problems = [[] for _ in range(flags.shape[1])]
+    for j, i in zip(*np.nonzero(flags)):  # matrix i's violations in the order above
+        name, value, _ = invariants[j]
+        problems[i].append(name if value is None else f"{name} {np.ravel(value)[i]:.3e}")
+    return problems if b.ndim == 3 else problems[0]
 
 
 def _bminus(b: np.ndarray) -> np.ndarray:
@@ -118,6 +129,22 @@ def _bminus(b: np.ndarray) -> np.ndarray:
     # and the matmul run per matrix, so each result keeps the bits of the
     # one-matrix call.
     return _spectral_part(*_descending_eigh(b), -1.0)
+
+
+def _clipped_factor(b: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    # L = V_r diag(sqrt(-lambda_r)) over the eigenvalues below -CLIP_REL *
+    # ||B||_F: the compact d x r factor of one matrix, or for a stack the
+    # (k, d, d) factors with a zero column for each other eigenvalue.
+    keep = eigenvalues < -CLIP_REL * _fro(b)[..., None]
+    factor = eigenvectors * np.sqrt(np.where(keep, -eigenvalues, 0.0))[..., None, :]
+    return factor if b.ndim == 3 else factor[:, keep]
+
+
+def _fro(a: np.ndarray) -> np.ndarray:
+    # ||a||_F of a matrix, or of each matrix of a stack, as the dot product
+    # of its flattened entries: the bits of np.linalg.norm(a, "fro").
+    flat = a.reshape(*a.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +161,24 @@ def _spectral_part(eigenvalues: np.ndarray, eigenvectors: np.ndarray, sign: floa
 
 
 def _as_symmetric(a: np.ndarray, stack: bool = False) -> np.ndarray:
-    # stack=True also accepts a (k, d, d) stack of matrices.  On finite
-    # input the test accepts exactly what np.allclose(a, a.T, rtol=0, atol)
-    # does, in one pass; NaN and infinities never reach LAPACK.
+    # stack=True also accepts a (k, d, d) stack of matrices, which passes
+    # when each of its matrices does: a matrix is judged on its own scale,
+    # so a small one is held as tightly inside a stack as alone.  On finite
+    # input the test of each matrix accepts exactly what np.allclose(a, a.T,
+    # rtol=0, atol) does; NaN and infinities never reach LAPACK.
     a = np.asarray(a, dtype=np.float64)
     if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max()
-    if not np.isfinite(scale):
+    if not np.isfinite(np.abs(a).max()):
         raise ValueError("matrix entries must be finite")
-    if np.abs(a - a.swapaxes(-1, -2)).max() > 1e-12 * (1.0 + scale):
+    asym = np.abs(a - a.swapaxes(-1, -2))
+    # Every matrix's tolerance is at least 1e-12, so the per-matrix scales,
+    # slow to reduce over small matrices, are needed only past it.
+    if asym.max() > 1e-12 and np.any(_each_max(asym) > 1e-12 * (1.0 + _each_max(np.abs(a)))):
         raise ValueError("matrix is not symmetric")
     return a
+
+
+def _each_max(a: np.ndarray) -> np.ndarray:
+    # the largest entry of a matrix, or of each matrix of a stack
+    return a.reshape(*a.shape[:-2], -1).max(axis=-1)

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import _check_vector
-from .linalg import psd_split, spectral_norm
+from .linalg import _clipped_factor, spectral_norm, sym_eig
 from .profile import StdDevProfile, support_blocks
 
 # Quantities estimated from a profile alone; distsq also needs v and w.
@@ -251,12 +251,14 @@ def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
 
 def est_ymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_i Y_i for Y ~ N(0, B^-), sampled as Y = L g with L the factor
-    of linalg.psd_split(B).
+    of linalg.psd_split(B), built from B's eigenpairs alone: B+ and B- are
+    not formed.
 
     When B is PSD the factor is empty, Y = 0, and the estimate is exactly
     (0, 0).
     """
-    factor = psd_split(p.variance_matrix).factor_l
+    variance = p.variance_matrix
+    factor = _clipped_factor(variance, *sym_eig(variance))
     values = (np.max(g @ factor.T, axis=1)
               for g in _normal_stacks(factor.shape[1], replicates, seed, YMAX_TAG))
     return _reduce(values, replicates, seed, "ymax")

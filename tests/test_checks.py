@@ -4,6 +4,7 @@ against reference loops over the public geometry functions and against the
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from specbounds import checks, geometry, linalg
 from specbounds.checks import basic_corpus
 from specbounds.cli import main
+from specbounds.generators import random_symmetric
 from specbounds.geometry import basic_gap, comparison_dist_sq, natural_dist_sq
 from specbounds.linalg import psd_split
 
@@ -116,6 +118,16 @@ class TestBatchedCorpusChecks:
         assert result == (failures, {key: worst})
         assert json.dumps(result[0]) == json.dumps(failures)
 
+    @pytest.mark.parametrize("check, key", [("basic", "min_scaled_gap"),
+                                            ("comparison", "min_scaled_slack")])
+    def test_failures_past_the_first_chunk_name_their_trial(self, check, key):
+        # At tol -1e-3, 9 of the 20 failures of each check fall past trial
+        # 1023, so a trial counted from its chunk's start would show.
+        trials = 2 * checks._CHUNK + 5
+        failures, worst = _reference_results(check, trials, 4, -1e-3)
+        assert len(failures) == 20 and failures[-1]["trial"] >= checks._CHUNK
+        assert getattr(checks, check)(trials, 4, -1e-3) == (failures, {key: worst})
+
     def test_stacked_values_equal_per_trial_calls(self):
         corpus = list(basic_corpus(self.TRIALS, 5))
         for d in sorted({p.d for p, *_ in corpus}):
@@ -132,3 +144,49 @@ class TestBatchedCorpusChecks:
                 assert gap[k] == basic_gap(p, v[k], w[k], gamma[k])
                 assert comp[k] == comparison_dist_sq(p, split, v[k], w[k], gamma[k])
                 assert np.array_equal(bminus[k], split.bminus)
+
+
+def _description(problem):
+    # A split violation without the value it ends in.
+    return re.sub(r" -?\d\.\d{3}e[-+]\d+$", "", problem)
+
+
+class TestStackedSplit:
+    # checks.split splits and checks each d group of a batch as one stack;
+    # it must report what a loop of psd_split and split_invariant_violations
+    # over single matrices reports.
+    def test_failures_equal_per_matrix_loop_across_chunks(self, monkeypatch):
+        # A clip of 3e-4 ||B||_F leaves small negative eigenvalues out of
+        # the factor, so the factor residual fails on 15 of these trials,
+        # 7 of them past the first chunk.
+        monkeypatch.setattr(linalg, "CLIP_REL", 3e-4)
+        trials, seed = 2 * checks._CHUNK + 5, 4
+        reference = []
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            d = int(rng.integers(2, 33))
+            scale = float(rng.choice([0.01, 1.0, 100.0]))
+            a = random_symmetric(d, seed=seed * 1_000_003 + t, scale=scale)
+            problems = linalg.split_invariant_violations(a, psd_split(a))
+            if problems:
+                reference.append((t, d, [_description(problem) for problem in problems]))
+        assert 0 < len(reference) < 20 and reference[-1][0] >= checks._CHUNK
+        assert all(problems == ["factor residual"] for *_, problems in reference)
+        failures, details = checks.split(trials, seed)
+        assert details == {}
+        assert [(f["trial"], f["d"], [_description(problem) for problem in f["problems"]])
+                for f in failures] == reference
+
+    def test_stack_rows_equal_the_matrix_calls(self):
+        # matrices of 0.01, 1 and 100 scale in one stack
+        stack = np.array([random_symmetric(9, seed=s, scale=scale)
+                          for s, scale in enumerate((0.01, 1.0, 100.0, 0.01))])
+        split = psd_split(stack)
+        assert linalg.split_invariant_violations(stack, split) == [[]] * len(stack)
+        for i, a in enumerate(stack):
+            one = psd_split(a)
+            for field in ("eigenvalues", "eigenvectors", "bplus", "bminus"):
+                assert np.array_equal(getattr(split, field)[i], getattr(one, field))
+            rank = one.factor_l.shape[1]
+            assert np.array_equal(split.factor_l[i][:, 9 - rank:], one.factor_l)
+            assert not np.any(split.factor_l[i][:, :9 - rank])

@@ -211,6 +211,22 @@ class TestMcCommand:
             assert "inf" not in line  # 32 d^2 bytes is past float64 here
             assert len(line) < 200
 
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--family", "wigner:d=4", "--quantity", "norm"],
+        ["bounds", "--family", "wigner:d=4"],
+        ["scan", "--families", "wigner,diagonal_unit", "--dims", "2,4"],
+        ["verify", "--check", "slice", "--family", "wigner:d=4"],
+    ], ids=["mc", "bounds", "scan", "verify"])
+    def test_replicates_beyond_physical_memory_are_refused_first(self, capsys, monkeypatch,
+                                                                 argv):
+        # 8 bytes per replicate value: 800 TB, refused before any draw.
+        monkeypatch.setattr(cli.montecarlo.RandomStream, "generator",
+                            lambda self: pytest.fail("drew a replicate"))
+        line = _assert_input_error(capsys, [*argv, "--replicates", "99999999999999"])
+        assert line.startswith("error: out of memory: --replicates=99999999999999 needs about "
+                               "727.6 TiB, more than the")
+        assert line.endswith("of physical memory")
+
 
 class TestVerifyCommand:
     def test_basic_check_passes(self, capsys):
@@ -258,7 +274,8 @@ class TestVerifyCommand:
         ("comparison", "geometry", "_comparison_dist_sq",
          lambda b2, bminus, v, *args: np.full(len(v), -1.0),
          {"trial", "d", "gamma", "comparison", "natural"}),
-        ("split", "linalg", "split_invariant_violations", lambda *args: ["faked"],
+        ("split", "linalg", "split_invariant_violations",
+         lambda stack, split: [["faked"]] * len(stack),
          {"trial", "d", "problems"}),
         ("slice", "slicing", "verify_slice_inequality", lambda *args: {"holds": False},
          {"family", "outcome"}),

@@ -82,6 +82,15 @@ class TestPsdSplit:
             a = random_symmetric(2 + seed % 31, seed=seed)
             assert split_invariant_violations(a, psd_split(a)) == []
 
+    def test_stack_symmetry_judged_per_matrix(self):
+        # an asymmetry of 1e-10 is within the tolerance of a matrix with
+        # entries near 1e3, but not of one with entries near 1
+        small = np.eye(3)
+        small[0, 1] += 1e-10
+        psd_split(small + 1e3 * np.eye(3))
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_split(np.stack([small, 1e3 * np.eye(3)]))
+
     def test_factor_reconstructs_bminus(self):
         a = random_symmetric(12, seed=5)
         split = psd_split(a)
@@ -208,8 +217,8 @@ def _accepted(a):
 @st.composite
 def near_symmetric_stacks(draw):
     """Finite (k, d, d) stacks, d <= 8: exactly symmetric, then one
-    off-diagonal entry moved by a multiple of the tolerance near 1, and
-    sometimes a NaN entry."""
+    off-diagonal entry of one matrix moved by a multiple of that matrix's
+    tolerance near 1, and sometimes a NaN entry."""
     k = draw(st.integers(1, 3))
     d = draw(st.integers(1, 8))
     entries = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
@@ -217,9 +226,9 @@ def near_symmetric_stacks(draw):
     a = a.reshape(k, d, d)
     a = np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)
     if d > 1 and draw(st.booleans()):
-        atol = 1e-12 * (1.0 + np.abs(a).max())
-        factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]) | st.floats(0, 3))
         m, i = draw(st.integers(0, k - 1)), draw(st.integers(0, d - 2))
+        atol = 1e-12 * (1.0 + np.abs(a[m]).max())
+        factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]) | st.floats(0, 3))
         j = draw(st.integers(i + 1, d - 1))
         a[m, i, j] = a[m, j, i] + draw(st.sampled_from([-1.0, 1.0])) * factor * atol
     if draw(st.integers(0, 4)) == 0:
@@ -231,7 +240,8 @@ class TestSymmetryCheck:
     @settings(max_examples=200, deadline=None)
     @given(near_symmetric_stacks())
     def test_same_verdict_as_allclose(self, a):
-        assert _accepted(a) == _allclose_rule(a)
+        # a stack passes when each matrix passes on its own scale
+        assert _accepted(a) == all(_allclose_rule(matrix) for matrix in a)
         for matrix in a:
             assert _accepted(matrix) == _allclose_rule(matrix)
 

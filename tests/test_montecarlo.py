@@ -596,6 +596,26 @@ class TestBlockPathMatchesDense:
             assert (est[quantity].mean, est[quantity].stderr) == (
                 float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(self.REPLICATES)))
 
+    def test_rowmax_of_three_entry_rows_past_eight_columns(self):
+        # numpy sums a row of 8 or more entries pairwise, so on d = 12 the
+        # row sum over the component {0, 4, 5} is x0 + (x4 + x5) in the
+        # dense X, not (x0 + x4) + x5.  That component carries the largest
+        # entries, so its rows give rowmax on most draws.
+        b = np.zeros((12, 12))
+        for idx, size in (([0, 4, 5], 3.0), ([1, 7, 9, 11], 1.0), ([2, 3], 1.0)):
+            b[np.ix_(idx, idx)] = size
+        for i in (6, 8, 10):
+            b[i, i] = 1.0
+        p = StdDevProfile(12, b)
+        blocks = support_blocks(p)
+        assert sorted(idx.shape[1] for idx in blocks) == [1, 2, 3, 4]
+        items = x_blocks(p, blocks, 200, self.SEED)
+        for stacks, x in zip(items, x_stacks(p, 200, self.SEED), strict=True):
+            for block, dense in zip(stacks, dense_blocks(x, blocks), strict=True):
+                assert np.array_equal(block, dense)
+            rowmax = np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
+            assert np.array_equal(montecarlo._x_values("rowmax", stacks, blocks, p.d), rowmax)
+
     @pytest.mark.parametrize("spec, dense", [("wigner:d=16", True), ("diagonal_decay:d=16", False),
                                              ("block_diagonal", False)])
     def test_dense_x_only_for_one_block(self, monkeypatch, spec, dense, block_diagonal_profile):

@@ -92,17 +92,28 @@ def test_basic_corpus_equals_default_rng_corpus(seed):
 
 
 def test_split_corpus_equals_default_rng_corpus(monkeypatch):
+    # The split check sees each batch of _CHUNK trials grouped by d, groups
+    # in order of their first trial and trials in order within a group.
     trials, seed = checks._CHUNK + 76, 3
     seen = []
     monkeypatch.setattr(linalg, "split_invariant_violations",
-                        lambda a, split: seen.append(a) or [])
+                        lambda stack, split: seen.extend(stack) or [[] for _ in stack])
     assert checks.split(trials, seed) == ([], {})
-    assert len(seen) == trials
-    for t, a in enumerate(seen):
+    reference = []
+    for t in range(trials):
         rng = np.random.default_rng([seed, t])
         d = int(rng.integers(2, 33))
         scale = float(rng.choice([0.01, 1.0, 100.0]))
-        assert np.array_equal(a, random_symmetric(d, seed=seed * 1_000_003 + t, scale=scale))
+        reference.append(random_symmetric(d, seed=seed * 1_000_003 + t, scale=scale))
+    order = []
+    for start in range(0, trials, _CHUNK):
+        ts = range(start, min(start + _CHUNK, trials))
+        for d in dict.fromkeys(len(reference[t]) for t in ts):
+            order += [t for t in ts if len(reference[t]) == d]
+    assert sorted(order) == list(range(trials))
+    assert len(seen) == trials
+    for t, a in zip(order, seen):
+        assert np.array_equal(a, reference[t])
 
 
 def test_violation_scan_draws_default_rng_pairs(monkeypatch):

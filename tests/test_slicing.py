@@ -184,6 +184,18 @@ class TestVerifySliceInequality:
                             lambda a: np.full(len(a), 10.0 if a.shape[-2] == a.shape[-1] else 1.0))
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
 
+    def test_upper_triangle_leaves_out_the_diagonal(self, monkeypatch):
+        # X of a diagonal profile is its diagonal, so the strict upper
+        # triangle is zero.  The one x_blocks item of 5 replicates passes
+        # operator_norm Xlow, then Xup, then the two bands of d = 8.
+        seen = []
+        monkeypatch.setattr(slicing, "operator_norm", lambda a: seen.append(a.copy())
+                            or operator_norm(a))
+        assert verify_slice_inequality(gen_diagonal_unit(8), 5, 3)["holds"]
+        assert len(seen) == 4
+        low, up = seen[:2]
+        assert np.any(low) and not np.any(up)
+
     def test_fails_when_full_norm_exceeds_split_sum(self, monkeypatch):
         monkeypatch.setattr(slicing, "block_norms", lambda stacks: np.full(len(stacks[0]), 1e6))
         self._assert_fails_with_finite_ratios(verify_slice_inequality(gen_wigner(16), 4, 2))
