@@ -107,10 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # One float64 value per replicate: a run whose values alone exceed
-        # physical memory is refused before anything is drawn.
-        replicates = getattr(args, "replicates", 0)  # ball has none
-        _check_memory("--replicates", replicates, 8 * replicates)
+        # A run whose values alone exceed physical memory is refused before
+        # anything is drawn: 8 bytes per replicate, and 256 per ball point (the
+        # tracemalloc peak at 1e5 and 4e5 points, mostly CSV lines as strings).
+        for flag, size in (("replicates", 8), ("points", 256)):
+            count = getattr(args, flag, 0)  # ball has no --replicates, the rest no --points
+            _check_memory(f"--{flag}", count, size * count)
         started = time.perf_counter()
         handler = {"bounds": _cmd_bounds, "mc": _cmd_mc, "verify": _cmd_verify,
                    "ball": _cmd_ball, "scan": _cmd_scan}[args.command]

@@ -31,7 +31,7 @@ d, d) stack and solved in one stacked d x d eigensolve; a diagonal one
 is d 1 x 1 blocks, which return |X_ii| exactly.  On a profile with
 several components of size >= 2 the block eigensolves may differ from a
 whole-matrix eigensolve in the last bits; rowmax and entrymax keep the
-bits of the dense X.  est_distance_sq reads the dense x_stacks.
+bits of the dense X.  est_distance_sq is a linear form in the same normals.
 
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
@@ -106,7 +106,8 @@ def sample_X(p: StdDevProfile, stream: RandomStream, k: int | None = None) -> np
     mirrored, so entries with i >= j are independent and X is exactly
     symmetric.  Matrix j of a stack takes normals j*d(d+1)/2 onward, so a
     stack of k matrices is a prefix of any larger stack from the same
-    stream.
+    stream.  No estimator calls it: it is the dense reference that the
+    tests and the benchmark tracer name.
     """
     shape = () if k is None else (k,)
     lower = stream.generator().standard_normal(shape + (p.d * (p.d + 1) // 2,))
@@ -132,13 +133,6 @@ def _lower_positions(d: int) -> np.ndarray:
     return pos
 
 
-def x_stacks(p: StdDevProfile, replicates: int, seed: int):
-    """The X stacks of replicates 0..R-1 in order: block i comes from the
-    stream (seed, X_TAG, i)."""
-    for block, k in _blocks(replicates, p.d * (p.d + 1) // 2):
-        yield sample_X(p, RandomStream(seed, X_TAG, block), k)
-
-
 def x_blocks(p: StdDevProfile, blocks: list[np.ndarray], replicates: int, seed: int):
     """The draws of X for replicates 0..R-1, one item per stream block,
     taken apart into X's diagonal blocks over ``blocks`` (support_blocks(p)).
@@ -146,7 +140,7 @@ def x_blocks(p: StdDevProfile, blocks: list[np.ndarray], replicates: int, seed: 
     An item is a list of (k, m, s, s) stacks, one per (m, s) entry of
     blocks: entry [r, c] is X[C, C] of replicate r for the component C =
     row c of the entry.  Each stream block draws all d(d+1)/2 normals, as
-    x_stacks does, and gathers each block straight from them, so entries
+    sample_X does, and gathers each block straight from them, so entries
     keep their bits and no d x d matrix is built.  A connected profile is
     the one block [arange(d)], X itself, whose stack is (k, 1, d, d).
     """
@@ -272,24 +266,25 @@ def est_distance_sq(
     seed: int,
 ) -> McEstimate:
     """E (<v, Xv> - <w, Xw>)^2, the Monte Carlo oracle for the natural
-    metric."""
+    metric.  The increment sum_{i >= j} b_ij (v_i v_j - w_i w_j) (2 - delta_ij)
+    g_ij is one dot product with the X normals that x_blocks gathers."""
     v = _check_vector(v, p.d)
     w = _check_vector(w, p.d)
-    values = ((np.einsum("i,kij,j->k", v, x, v) - np.einsum("i,kij,j->k", w, x, w)) ** 2
-              for x in x_stacks(p, replicates, seed))
-    return _reduce(values, replicates, seed, "distsq")
-
-
-def _blocks(replicates: int, n: int):
-    # (block, rows) pairs: replicate r is row r % K of block r // K.
-    size = block_size(n)
-    for block, start in enumerate(range(0, replicates, size)):
-        yield block, min(size, replicates - start)
+    i, j = np.tril_indices(p.d)  # the row-by-row order of the X normals
+    # A non-finite or huge v or w gives inf * 0 or inf - inf, so NaN values,
+    # which _reduce refuses as a non-finite estimate.
+    with np.errstate(invalid="ignore", over="ignore"):
+        coef = p.b[i, j] * (v[i] * v[j] - w[i] * w[j]) * np.where(i == j, 1.0, 2.0)
+        values = ((g @ coef) ** 2 for g in _normal_stacks(coef.size, replicates, seed, X_TAG))
+        return _reduce(values, replicates, seed, "distsq")
 
 
 def _normal_stacks(n: int, replicates: int, seed: int, tag: int):
-    # (k, n) standard normal stacks for replicates 0..R-1 in order.
-    for block, k in _blocks(replicates, n):
+    # (k, n) standard normal stacks for replicates 0..R-1 in order: replicate
+    # r is row r % K of block r // K, drawn from the stream (seed, tag, r // K).
+    size = block_size(n)
+    for block, start in enumerate(range(0, replicates, size)):
+        k = min(size, replicates - start)
         yield RandomStream(seed, tag, block).generator().standard_normal((k, n))
 
 

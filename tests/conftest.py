@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specbounds.montecarlo import X_TAG, RandomStream, block_size, sample_X
 from specbounds.profile import StdDevProfile
 
 
@@ -22,3 +23,12 @@ def dense_blocks(x: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
     (support_blocks), gathered from a (k, d, d) stack of whole matrices:
     the shape of a montecarlo.x_blocks item."""
     return [x[:, idx[:, :, None], idx[:, None, :]] for idx in blocks]
+
+
+def dense_x_stacks(p: StdDevProfile, replicates: int, seed: int):
+    """The dense (k, d, d) X stacks of replicates 0..R-1 in order, one per
+    stream block: block i is sample_X of the stream (seed, X_TAG, i), the
+    normals that montecarlo.x_blocks gathers."""
+    size = block_size(p.d * (p.d + 1) // 2)
+    for block, start in enumerate(range(0, replicates, size)):
+        yield sample_X(p, RandomStream(seed, X_TAG, block), min(size, replicates - start))

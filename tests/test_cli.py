@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_profile import csv_payloads, json_payloads
 
 from specbounds import cli
 from specbounds.cli import main
@@ -385,6 +390,20 @@ class TestBallCommand:
         line = _assert_input_error(capsys, ["ball", "--family", "wigner:d=2"])
         assert line == "error: out of memory: Unable to allocate 8.00 PiB for an array"
 
+    def test_points_beyond_physical_memory_are_refused_first(self, capsys, monkeypatch):
+        # 256 bytes per point against a reported 64 KiB: 256 points fit and
+        # 257 are refused before the boundary is traced.
+        pages = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = ["ball", "--family", "wigner:d=2", "--points"]
+        status, out = _run(capsys, [*argv, "256"])
+        assert status == 0 and len(out.splitlines()) == 257
+        monkeypatch.setattr(cli.geometry, "ball_boundary_2d",
+                            lambda *args: pytest.fail("traced the boundary"))
+        line = _assert_input_error(capsys, [*argv, "257"])
+        assert line == ("error: out of memory: --points=257 needs about 64.2 KiB, "
+                        "more than the 64.0 KiB of physical memory")
+
 
 class TestReportEnvelope:
     @pytest.mark.parametrize("argv", [
@@ -516,14 +535,55 @@ def family_specs(draw, with_d=True):
     return f"{name}:{params}" if params else name
 
 
+@dataclass(frozen=True)
+class _TempPath:
+    """A path argument made in each example's temporary directory: a file
+    holding data, a directory when data is None, or, when missing, a name
+    in a directory that does not exist."""
+
+    name: str
+    data: bytes | None = None
+    missing: bool = False
+
+    def make(self, root: str) -> str:
+        path = Path(root, "missing" if self.missing else "", self.name)
+        if self.data is not None:
+            path.write_bytes(self.data)
+        elif not self.missing:
+            path.mkdir()
+        return str(path)
+
+
+@st.composite
+def input_files(draw):
+    """An --input profile: a CSV or JSON payload of the profile tests,
+    bytes that are not UTF-8, or a directory."""
+    kind = draw(st.sampled_from(["csv", "json", "bytes", "directory"]))
+    if kind == "directory":
+        return _TempPath("profile.csv")
+    if kind == "bytes":  # 0xff starts no UTF-8 sequence
+        name = draw(st.sampled_from(["profile.csv", "profile.json"]))
+        return _TempPath(name, b"\xff" + draw(st.binary(max_size=8)))
+    payload = draw(csv_payloads() if kind == "csv" else json_payloads())
+    return _TempPath(f"profile.{kind}", payload.encode())
+
+
+# An --out path in a missing directory, or naming a directory.
+_BAD_OUTS = st.sampled_from([_TempPath("out.json", missing=True), _TempPath("out.json")])
+
+
 @st.composite
 def cli_argvs(draw):
-    """A real subcommand with its real flags at small values, with junk
+    """A real subcommand with its real flags at small values, profiles
+    from family specs or --input files, a bad --out path at times, and junk
     tokens spliced in anywhere."""
     command = draw(st.sampled_from(["bounds", "mc", "verify", "ball", "scan"]))
-    flags = {"--seed": _COUNTS}
+    flags = {"--seed": _COUNTS, "--out": _BAD_OUTS}
     if command in ("bounds", "mc", "ball"):
-        flags["--family"] = family_specs()
+        if draw(st.integers(0, 2)):
+            flags["--family"] = family_specs()
+        else:
+            flags["--input"] = input_files()
     if command in ("bounds", "mc", "verify", "scan"):
         flags["--replicates"] = _COUNTS
     if command in ("bounds", "mc", "scan"):
@@ -545,8 +605,8 @@ def cli_argvs(draw):
                       "--dims": st.lists(_DIMS, min_size=1, max_size=2).map(",".join)})
     # The required flags and those that set the amount of work are always
     # given; the default --trials, for one, runs 10000 trials.
-    needed = {"--family", "--families", "--dims", "--quantity", "--check", "--replicates",
-              "--trials", "--points"}
+    needed = {"--family", "--input", "--families", "--dims", "--quantity", "--check",
+              "--replicates", "--trials", "--points"}
     argv = [command]
     for flag, values in flags.items():
         if flag in needed or draw(st.booleans()):
@@ -561,12 +621,15 @@ def _reject_constant(token):
 
 
 class TestArgvProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(cli_argvs())
     def test_exit_status_and_output_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(argv)
+        with tempfile.TemporaryDirectory() as root:
+            argv = [token.make(root) if isinstance(token, _TempPath) else token
+                    for token in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
         out, err = out.getvalue(), err.getvalue()
         assert status in (0, 1, 2)
         assert "Traceback" not in err

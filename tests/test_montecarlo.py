@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import dense_blocks
+from conftest import dense_blocks, dense_x_stacks
 
 from specbounds import cli, montecarlo
 from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
@@ -35,7 +35,6 @@ from specbounds.montecarlo import (
     estimate,
     sample_X,
     x_blocks,
-    x_stacks,
 )
 from specbounds.profile import StdDevProfile, support_blocks
 
@@ -178,6 +177,19 @@ class TestEstDistanceSq:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             est_distance_sq(gen_wigner(3), np.ones(2), np.ones(3), 10, 0)
+
+    @pytest.mark.parametrize("spec", ["block_diagonal", "wigner:d=6"])
+    def test_linear_form_without_a_dense_x(self, monkeypatch, spec, block_diagonal_profile):
+        # the increment is a linear form in the X normals: no sample_X draw,
+        # and the values of (<v, Xv> - <w, Xw>)^2 on the dense X of each replicate
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        replicates, seed = 2 * _documented_k(p.d * (p.d + 1) // 2) + 3, 17
+        vw = np.random.default_rng(p.d)
+        v, w = vw.standard_normal(p.d), vw.standard_normal(p.d)
+        xs = np.concatenate(list(dense_x_stacks(p, replicates, seed)))
+        values = [float(v @ x @ v - w @ x @ w) ** 2 for x in xs]
+        monkeypatch.setattr(montecarlo, "sample_X", lambda *args: pytest.fail("sample_X called"))
+        _assert_matches(est_distance_sq(p, v, w, replicates, seed), values)
 
 
 class TestStructuralChecks:
@@ -471,10 +483,14 @@ class TestBlockContract:
         p = random_profile(d, seed=d)
         k = _documented_k(d * (d + 1) // 2)
         replicates = k + 5
-        short = np.concatenate(list(x_stacks(p, replicates, self.SEED)))
-        long = np.concatenate(list(x_stacks(p, replicates + k, self.SEED)))
-        assert short.shape == (replicates, d, d)
-        np.testing.assert_array_equal(short, long[:replicates])
+        blocks = support_blocks(p)
+        short = list(x_blocks(p, blocks, replicates, self.SEED))
+        long = list(x_blocks(p, blocks, replicates + k, self.SEED))
+        for c, idx in enumerate(blocks):
+            a = np.concatenate([item[c] for item in short])
+            b = np.concatenate([item[c] for item in long])
+            assert a.shape == (replicates, *idx.shape, idx.shape[1])
+            np.testing.assert_array_equal(a, b[:replicates])
 
     def test_seed_and_tags_select_distinct_streams(self):
         p = gen_wigner(4)
@@ -574,8 +590,8 @@ class TestBlockNorms:
 
 class TestBlockPathMatchesDense:
     # estimate reads X in its support blocks; the reference reduces the
-    # dense sample_X stacks of x_stacks, with the norm from block_norms on
-    # the blocks gathered from the dense stack.
+    # dense sample_X stacks of conftest.dense_x_stacks, with the norm from
+    # block_norms on the blocks gathered from the dense stack.
     REPLICATES, SEED = 40, 11
     SPECS = ["wigner:d=64", "band:d=40,w=3", "kronecker_flip:d=16,seed=9",
              "diagonal_decay:d=256", "diagonal_unit:d=9", "block_diagonal",
@@ -586,7 +602,7 @@ class TestBlockPathMatchesDense:
         p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
         blocks = support_blocks(p)
         values = {"norm": [], "rowmax": [], "entrymax": []}
-        for x in x_stacks(p, self.REPLICATES, self.SEED):
+        for x in dense_x_stacks(p, self.REPLICATES, self.SEED):
             values["norm"].append(block_norms(dense_blocks(x, blocks)))
             values["rowmax"].append(np.sqrt(np.max(np.sum(x * x, axis=2), axis=1)))
             values["entrymax"].append(np.max(np.abs(x), axis=(1, 2)))
@@ -610,7 +626,7 @@ class TestBlockPathMatchesDense:
         blocks = support_blocks(p)
         assert sorted(idx.shape[1] for idx in blocks) == [1, 2, 3, 4]
         items = x_blocks(p, blocks, 200, self.SEED)
-        for stacks, x in zip(items, x_stacks(p, 200, self.SEED), strict=True):
+        for stacks, x in zip(items, dense_x_stacks(p, 200, self.SEED), strict=True):
             for block, dense in zip(stacks, dense_blocks(x, blocks), strict=True):
                 assert np.array_equal(block, dense)
             rowmax = np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))

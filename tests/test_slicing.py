@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_blocks
+from conftest import dense_blocks, dense_x_stacks
 
 from specbounds import montecarlo, slicing
 from specbounds.generators import (
@@ -209,7 +209,7 @@ def _dense_slice_reference(p, replicates, seed):
     pstar = rearrange(p)
     blocks = support_blocks(pstar)
     rows = []
-    for stack in montecarlo.x_stacks(pstar, replicates, seed):
+    for stack in dense_x_stacks(pstar, replicates, seed):
         for x, full in zip(stack, montecarlo.block_norms(dense_blocks(stack, blocks))):
             xlow = np.tril(x)
             slice_norms_sq = [operator_norm(xlow[lo - 1 : hi, :]) ** 2 for lo, hi in bands]
