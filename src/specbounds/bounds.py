@@ -34,6 +34,16 @@ BOUND_IDS = tuple(BOUND_KINDS)
 GAMMA_FLOOR = 1e-6
 
 
+class ConstantOverflow(ValueError):
+    """A bound that is not finite at the constant the caller chose.  The
+    profile checks keep every other term finite, so the constant is the
+    cause: 1/gamma, or C times a profile statistic, overflowed."""
+
+    def __init__(self, bound: str, name: str, value: float):
+        super().__init__(f"bound {bound} is not finite at {name}={value!r}")
+        self.name = name
+
+
 def bvh_bound(p: StdDevProfile) -> float:
     """sigma + (max_ij b_ij) * sqrt(ln d); the log term is 0 for d = 1."""
     return sigma(p) + max_entry(p) * math.sqrt(math.log(p.d))
@@ -108,7 +118,8 @@ def compute_bound_report(
 
     thm41 and cor_opt consume Monte Carlo estimates of the two expectation
     terms; their (seed, replicates, stderr) are recorded in the report.
-    Raises ValueError naming any bound that is negative or not finite.
+    Raises ValueError naming any bound that is negative or not finite, and
+    ConstantOverflow, a ValueError, when the bound takes c or gamma.
     """
     gdot = montecarlo.est_gdot(p, replicates, seed)
     ymax = montecarlo.est_ymax(p, replicates, seed)
@@ -125,8 +136,12 @@ def compute_bound_report(
         "slicing_assembled": slicing.slice_assembled_bound(p),
         "thm41": thm41_bound(gdot.mean, ymax.mean, bmax, gamma),
     }
+    # the keyword and value of the constant each C- or gamma-carrying bound takes
+    constant_of = {"remark_upper": ("c", c), "cor_sharp": ("c", c), "thm41": ("gamma", gamma)}
     for key, value in values.items():
         if not (np.isfinite(value) and value >= 0):
+            if key in constant_of:
+                raise ConstantOverflow(key, *constant_of[key])
             raise ValueError(f"bound {key} is not a nonnegative finite value")
     return {
         "d": p.d,

@@ -178,13 +178,16 @@ def _load(args) -> tuple[StdDevProfile, dict]:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     profile, block = _load(args)
-    report = bounds.compute_bound_report(
-        profile,
-        c=args.c,
-        gamma=args.gamma,
-        replicates=args.replicates,
-        seed=args.seed,
-    )
+    try:
+        report = bounds.compute_bound_report(
+            profile,
+            c=args.c,
+            gamma=args.gamma,
+            replicates=args.replicates,
+            seed=args.seed,
+        )
+    except bounds.ConstantOverflow as exc:  # the flags are named as the keywords
+        raise ValueError(f"argument --{exc.name}: {exc}") from None
     return {"profile": block, "report": report, "seed": args.seed}, EXIT_OK
 
 

@@ -61,7 +61,7 @@ def gen_kronecker_flip(bprime: np.ndarray) -> StdDevProfile:
     bp = np.asarray(bprime, dtype=np.float64)
     if bp.ndim != 2 or bp.shape[0] != bp.shape[1]:
         raise ValueError(f"B' must be square, got shape {bp.shape}")
-    if not np.allclose(bp, bp.T, rtol=0, atol=0):
+    if not np.array_equal(bp, bp.T):
         raise ValueError("B' must be symmetric")
     if np.any(bp < 0):
         raise ValueError("B' must have nonnegative entries")

@@ -8,8 +8,9 @@ block r // K, which is drawn from the stream (s, tag, r // K).  X needs
 n = d(d+1)/2, g for gdot needs d and g for ymax the rank of B^-.  K
 depends only on n, so replicate r's value does not depend on the replicate
 count, and the last block of a run is a prefix of the full block.  The
-reduction is np.mean / np.std over the replicate-indexed value array
-(numpy pairwise summation).
+reduction over the replicate-indexed value array keeps the bits of
+np.mean and np.std(ddof=1) / sqrt(R): it makes their ufunc calls in their
+order (numpy pairwise summation), without their wrapper layers.
 
 norm, rowmax, entrymax and distsq share the X tag (common random numbers):
 on each replicate they see the same X, so ||X|| >= max row norm >= max
@@ -40,7 +41,8 @@ transform is fixed within a build but not promised across numpy versions.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +89,9 @@ class McEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields of dataclasses.asdict, in its order, without its deep copy
+        return {"quantity": self.quantity, "mean": self.mean, "stderr": self.stderr,
+                "replicates": self.replicates, "seed": self.seed}
 
 
 def block_size(n: int) -> int:
@@ -232,7 +236,8 @@ def _row_sums_sq(stack: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
 def _max_per_draw(arrays) -> np.ndarray:
     # The largest entry of each row of every (k, ...) array, then the
     # largest over the arrays.
-    return np.max([a.reshape(len(a), -1).max(axis=1) for a in arrays], axis=0)
+    maxima = [a.reshape(len(a), -1).max(axis=1) for a in arrays]
+    return maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0)
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
@@ -270,13 +275,24 @@ def est_distance_sq(
     g_ij is one dot product with the X normals that x_blocks gathers."""
     v = _check_vector(v, p.d)
     w = _check_vector(w, p.d)
-    i, j = np.tril_indices(p.d)  # the row-by-row order of the X normals
+    i, j, weight = _lower_pairs(p.d)
     # A non-finite or huge v or w gives inf * 0 or inf - inf, so NaN values,
     # which _reduce refuses as a non-finite estimate.
     with np.errstate(invalid="ignore", over="ignore"):
-        coef = p.b[i, j] * (v[i] * v[j] - w[i] * w[j]) * np.where(i == j, 1.0, 2.0)
+        coef = p.b[i, j] * (v[i] * v[j] - w[i] * w[j]) * weight
         values = ((g @ coef) ** 2 for g in _normal_stacks(coef.size, replicates, seed, X_TAG))
         return _reduce(values, replicates, seed, "distsq")
+
+
+@functools.lru_cache(maxsize=16)
+def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (i, j) of each entry of the row-by-row lower triangle, the order of the
+    # X normals, and its weight 2 - delta_ij; read-only because they are shared.
+    i, j = np.tril_indices(d)
+    pairs = (i, j, np.where(i == j, 1.0, 2.0))
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def _normal_stacks(n: int, replicates: int, seed: int, tag: int):
@@ -297,9 +313,16 @@ def _reduce(values, replicates: int, seed: int, quantity: str) -> McEstimate:
     # values yields one array per block; nothing is drawn before the check.
     _check_replicates(replicates)
     values = np.concatenate(list(values))
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(replicates))
-    if not (np.isfinite(mean) and np.isfinite(stderr)):
+    # np.mean(values) and np.std(values, ddof=1) without numpy's wrapper
+    # layers, in their order of operations, so with their bits: the pairwise
+    # sum over n, then the pairwise sum of squared deviations over n - 1.
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    squares = np.subtract(values, mean)
+    np.square(squares, out=squares)
+    stderr = math.sqrt(np.add.reduce(squares) / (n - 1)) / math.sqrt(replicates)
+    mean = float(mean)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise ValueError(f"non-finite {quantity} estimate (mean={mean}, stderr={stderr})")
     return McEstimate(
         quantity=quantity, mean=mean, stderr=stderr, replicates=replicates, seed=seed

@@ -128,6 +128,16 @@ class TestBoundsCommand:
         )
         assert f"argument {flag}:" in line and value in line
 
+    @pytest.mark.parametrize("flag, value, bound", [("--gamma", "1e-320", "thm41"),
+                                                    ("--c", "1.7e308", "remark_upper")])
+    def test_constant_that_overflows_a_bound_names_the_flag(self, capsys, flag, value, bound):
+        # both pass the parser as finite numbers > 0, but 1/gamma, or C times
+        # the profile's gamma_star, overflows
+        line = _assert_input_error(capsys, ["bounds", "--family", "wigner:d=4",
+                                            "--replicates", "10", flag, value])
+        assert line == (f"error: argument {flag}: bound {bound} is not finite at "
+                        f"{flag[2:]}={float(value)!r}")
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         assert main(["bounds", "--input", str(tmp_path / "absent.csv")]) == 1
 

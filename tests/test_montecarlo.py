@@ -1,16 +1,19 @@
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from conftest import dense_blocks, dense_x_stacks
 
 from specbounds import cli, montecarlo
+from specbounds.bounds import optimize_gamma
 from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
 from specbounds.generators import (
     gen_bandeira,
     gen_diagonal_decay,
     gen_diagonal_unit,
+    gen_kronecker_flip,
     gen_wigner,
     make_family,
     parse_family_spec,
@@ -36,7 +39,7 @@ from specbounds.montecarlo import (
     sample_X,
     x_blocks,
 )
-from specbounds.profile import StdDevProfile, support_blocks
+from specbounds.profile import StdDevProfile, max_entry, support_blocks
 
 ZERO4 = StdDevProfile(4, np.zeros((4, 4)))
 
@@ -745,3 +748,66 @@ class TestExactOracles:
         exact = (factor.max() - factor.min()) / math.sqrt(2.0 * math.pi)
         est = est_ymax(p, 20000, self.SEED)
         assert abs(est.mean - exact) <= 5.0 * est.stderr
+
+    # gen_kronecker_flip(I_32) is b = I_32 kron [[0, 1], [1, 0]]: 32 support
+    # blocks [[0, g], [g, 0]], one per edge of a perfect matching, and B^- =
+    # I_32 kron [[1, -1], [-1, 1]] / 2, so each estimate is a max of
+    # half-normals with an exact mean.
+    MATCHING_NORM = _diagonal_norm_oracle([1.0] * 32)
+    MATCHING_GDOT = _diagonal_norm_oracle([1.0] * 64)
+    MATCHING_YMAX = _diagonal_norm_oracle([math.sqrt(0.5)] * 32)
+
+    def test_matching_oracle_values(self):
+        assert (self.MATCHING_NORM, self.MATCHING_GDOT, self.MATCHING_YMAX) == pytest.approx(
+            (2.34708, 2.59611, 1.65964), abs=5e-6)
+        assert [idx.shape for idx in support_blocks(gen_kronecker_flip(np.eye(32)))] == [(32, 2)]
+
+    def test_norm_on_a_perfect_matching(self):
+        # ||X|| of a block is |g|: the max of 32 |N(0, 1)|
+        est = est_norm(gen_kronecker_flip(np.eye(32)), 20000, self.SEED)
+        assert abs(est.mean - self.MATCHING_NORM) <= 5.0 * est.stderr
+
+    def test_gdot_on_a_perfect_matching(self):
+        # row i holds one b = 1, at its partner j: the max of all 64 |g_j|
+        est = est_gdot(gen_kronecker_flip(np.eye(32)), 20000, self.SEED)
+        assert abs(est.mean - self.MATCHING_GDOT) <= 5.0 * est.stderr
+
+    def test_ymax_on_a_perfect_matching(self):
+        # Y is (h, -h) on each block with h ~ N(0, 1/2): the max of 32 |h|
+        est = est_ymax(gen_kronecker_flip(np.eye(32)), 20000, self.SEED)
+        assert abs(est.mean - self.MATCHING_YMAX) <= 5.0 * est.stderr
+
+    def test_exact_cor_opt_bounds_the_exact_norm(self):
+        # cor_opt = 2 sqrt(G (G + Y)) + 2 max b at the exact G and Y, no Monte Carlo
+        _, cor_opt = optimize_gamma(self.MATCHING_GDOT, self.MATCHING_YMAX,
+                                    max_entry(gen_kronecker_flip(np.eye(32))))
+        assert cor_opt == pytest.approx(8.6478, abs=5e-5)
+        assert cor_opt >= self.MATCHING_NORM
+
+
+class TestReduce:
+    # _reduce copies np.mean and np.std(ddof=1) op for op; the lengths sit on
+    # both sides of numpy's 8- and 128-element pairwise summation blocks.
+    LENGTHS = [2, 7, 8, 9, 127, 128, 129, 1000, 4097]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_bits_of_numpy_mean_and_std(self, n, scale):
+        rng = np.random.default_rng(n)
+        for values in (scale * (1.5 + rng.standard_normal(n)), scale * rng.exponential(size=n)):
+            expected = (float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(n)))
+            for blocks in (1, 2, 3):
+                est = montecarlo._reduce(iter(np.array_split(values, blocks)), n, 3, "q")
+                assert (est.mean, est.stderr) == expected, blocks
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_estimate_is_refused(self, bad):
+        # 1e200 is finite, but its squared deviation overflows the stderr
+        values = [np.array([1.0, 2.0]), np.array([bad, 3.0])]
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="non-finite q estimate"):
+                montecarlo._reduce(iter(values), 4, 3, "q")
+
+    def test_to_dict_is_asdict(self):
+        est = est_gdot(gen_wigner(3), 10, 4)
+        assert list(est.to_dict().items()) == list(asdict(est).items())
