@@ -79,19 +79,18 @@ def _corpus_results(trials: int, seed: int, test):
     # of variance matrices, the (k, d) stacks of v and w and the (k,) gammas,
     # and returns the k margins, the k failure flags and the named (k,)
     # values that a failure record carries.
-    cases = basic_corpus(trials, seed)
-    start = 0
-    while chunk := list(itertools.islice(cases, _CHUNK)):
+    numbered = enumerate(basic_corpus(trials, seed))
+    while batch := list(itertools.islice(numbered, _CHUNK)):
+        ts, chunk = zip(*batch)
         margins, records = np.empty(len(chunk)), [None] * len(chunk)
         for d, rows in _rows_by_d([profile.d for profile, *_ in chunk]).items():
             profiles, v, w, gamma = zip(*(chunk[k] for k in rows))
             margins[rows], failing, named = test(np.array([p.b for p in profiles]) ** 2,
                                                  np.array(v), np.array(w), np.array(gamma))
             for i in np.flatnonzero(failing).tolist():
-                records[rows[i]] = {"trial": start + rows[i], "d": d, "gamma": gamma[i],
+                records[rows[i]] = {"trial": ts[rows[i]], "d": d, "gamma": gamma[i],
                                     **{key: float(value[i]) for key, value in named.items()}}
         yield from zip(margins.tolist(), records)
-        start += len(chunk)
 
 
 def basic(trials: int, seed: int, tol: float) -> tuple[list, dict]:

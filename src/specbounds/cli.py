@@ -242,7 +242,7 @@ def _dim_token(token: str) -> int:
 
 def _scan_row(profile: StdDevProfile, spec: str, args) -> dict:
     report = bounds.compute_bound_report(profile, replicates=args.replicates, seed=args.seed)
-    x = montecarlo.estimate(profile, ("norm", "rowmax", "entrymax"), args.replicates, args.seed)
+    x = montecarlo.estimate(profile, montecarlo.X_QUANTITIES, args.replicates, args.seed)
     norm, rowmax = x["norm"], x["rowmax"]
     equiv_value = report["bounds"]["equiv_expression"]
     return {

@@ -275,24 +275,16 @@ def est_distance_sq(
     g_ij is one dot product with the X normals that x_blocks gathers."""
     v = _check_vector(v, p.d)
     w = _check_vector(w, p.d)
-    i, j, weight = _lower_pairs(p.d)
     # A non-finite or huge v or w gives inf * 0 or inf - inf, so NaN values,
     # which _reduce refuses as a non-finite estimate.
     with np.errstate(invalid="ignore", over="ignore"):
-        coef = p.b[i, j] * (v[i] * v[j] - w[i] * w[j]) * weight
+        # Each normal's coefficient, summed over the entries that
+        # _lower_positions maps to it: 0 + x on the diagonal, and 0 + x + x
+        # = 2x off it, exactly.
+        coef = np.bincount(_lower_positions(p.d).ravel(),
+                           (p.b * (np.outer(v, v) - np.outer(w, w))).ravel())
         values = ((g @ coef) ** 2 for g in _normal_stacks(coef.size, replicates, seed, X_TAG))
         return _reduce(values, replicates, seed, "distsq")
-
-
-@functools.lru_cache(maxsize=16)
-def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (i, j) of each entry of the row-by-row lower triangle, the order of the
-    # X normals, and its weight 2 - delta_ij; read-only because they are shared.
-    i, j = np.tril_indices(d)
-    pairs = (i, j, np.where(i == j, 1.0, 2.0))
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
 
 
 def _normal_stacks(n: int, replicates: int, seed: int, tag: int):

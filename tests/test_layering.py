@@ -56,3 +56,18 @@ def test_no_module_declares_all():
     assert [name for name, tree in _trees().items()
             if any(isinstance(node, ast.Name) and node.id == "__all__"
                    for node in ast.walk(tree))] == []
+
+
+def test_syntax_parses_at_the_python_floor():
+    """Every file of the package and of the tests parses as Python 3.10, the
+    floor that pyproject.toml's requires-python promises.  This catches
+    syntax only, such as except* or def f[T]; a call to a library function
+    that is newer than 3.10 still passes."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    failed = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as error:
+            failed.append(f"{path.name}:{error.lineno}: {error.msg}")
+    assert len(paths) > 20 and failed == []

@@ -7,7 +7,7 @@ import pytest
 from conftest import dense_blocks, dense_x_stacks
 
 from specbounds import cli, montecarlo
-from specbounds.bounds import optimize_gamma
+from specbounds.bounds import compute_bound_report, optimize_gamma
 from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
 from specbounds.generators import (
     gen_bandeira,
@@ -193,6 +193,36 @@ class TestEstDistanceSq:
         values = [float(v @ x @ v - w @ x @ w) ** 2 for x in xs]
         monkeypatch.setattr(montecarlo, "sample_X", lambda *args: pytest.fail("sample_X called"))
         _assert_matches(est_distance_sq(p, v, w, replicates, seed), values)
+
+    # (scale of v and w, scale of b): b shrinks where v is large, so that the
+    # squares of the values stay finite; at 1e-150 the values underflow to 0.
+    SCALES = [(1e-150, 1.0), (1.0, 1.0), (1e150, 1e-230)]
+
+    @pytest.mark.parametrize("d", [1, 6, 24])
+    @pytest.mark.parametrize("scale", SCALES + ["v=w"], ids=["1e-150", "1", "1e150", "v=w"])
+    def test_bits_of_the_documented_linear_form(self, d, scale):
+        # The increment is sum_{i >= j} b_ij (v_i v_j - w_i w_j) (2 - delta_ij)
+        # g_ij over the np.tril_indices order of the X normals; its squares,
+        # dotted one stream block at a time, reduce to the estimate bit for bit.
+        v_scale, b_scale = (1.0, 1.0) if scale == "v=w" else scale
+        b = random_profile(d, seed=d, density=1.0 if d == 1 else 0.6).b
+        assert d == 1 or (b == 0).any()
+        p = StdDevProfile(d, b * b_scale)
+        vw = np.random.default_rng(d + 1).standard_normal((2, d)) * v_scale
+        v, w = vw[0], vw[0] if scale == "v=w" else vw[1]
+        v[-1] = -0.0  # a signed zero
+        n = d * (d + 1) // 2
+        k = _documented_k(n)
+        replicates, seed = 2 * k + 5, 23  # a partial third stream block
+        i, j = np.tril_indices(d)
+        coef = p.b[i, j] * (v[i] * v[j] - w[i] * w[j]) * (2.0 - (i == j))
+        values = np.concatenate([
+            (RandomStream(seed, X_TAG, block).generator()
+             .standard_normal((min(k, replicates - start), n)) @ coef) ** 2
+            for block, start in enumerate(range(0, replicates, k))])
+        est = est_distance_sq(p, v, w, replicates, seed)
+        assert (est.mean, est.stderr) == (
+            np.mean(values), np.std(values, ddof=1) / math.sqrt(replicates))
 
 
 class TestStructuralChecks:
@@ -783,6 +813,23 @@ class TestExactOracles:
                                     max_entry(gen_kronecker_flip(np.eye(32))))
         assert cor_opt == pytest.approx(8.6478, abs=5e-5)
         assert cor_opt >= self.MATCHING_NORM
+
+    def test_explicit_bounds_on_a_perfect_matching(self):
+        # With max b = 1, thm41 at gamma = 1 is 2G + Y + 2 and cor_opt is
+        # 2 sqrt(G (G + Y)) + 2.  Their stderrs come by the delta method from
+        # the independent gdot and ymax stderrs, with weights (2, 1) and
+        # ((2G + Y), G) / sqrt(G (G + Y)).
+        report = compute_bound_report(gen_kronecker_flip(np.eye(32)), replicates=20000,
+                                      seed=self.SEED)
+        g, y = self.MATCHING_GDOT, self.MATCHING_YMAX
+        root = math.sqrt(g * (g + y))
+        exact = {"thm41": (2.0 * g + y + 2.0, 2.0, 1.0),
+                 "cor_opt": (optimize_gamma(g, y, 1.0)[1], (2.0 * g + y) / root, g / root)}
+        assert [exact[bound][0] for bound in exact] == pytest.approx([8.85186, 8.64782], abs=5e-6)
+        s_g, s_y = (report["mc"][q]["stderr"] for q in ("gdot", "ymax"))
+        for bound, (value, w_g, w_y) in exact.items():
+            stderr = math.hypot(w_g * s_g, w_y * s_y)
+            assert abs(report["bounds"][bound] - value) <= 5.0 * stderr, bound
 
 
 class TestReduce:
