@@ -2,28 +2,36 @@
 return (failures, details), the failure records and the report fields, and
 the equivalence report that the equiv suite reads.
 
-The corpus suites read their per-trial streams from seeding._trial_batches,
-in batches of seeding._CHUNK trials; each equals the default_rng([seed, t])
-stream it replaces.  Every corpus suite groups each batch by d and works on
-(k, d, d) stacks.  The basic and comparison suites read basic_corpus in
-chunks of the same size and evaluate the geometry kernels on the stacks,
-with one stacked eigensolve for B- in the comparison suite.  The split
-suite gives each group one linalg.psd_split and one
-linalg.split_invariant_violations call, so one stacked eigensolve.  Each
-value keeps the bits of the per-trial public call, and the failures come
-in trial order, capped at 20, as a per-trial loop gives them.
+The corpus suites draw their trials in batches of seeding._CHUNK, trial t
+being row t % _CHUNK of batch t // _CHUNK, with one keyed stream per draw
+kind and batch (seeding._batches).  Each batch is grouped by d, and the
+checks read the (k, d, d) and (k, d) stacks of each group straight from
+the batch draw: the basic and comparison suites evaluate the geometry
+kernels on them, with one stacked eigensolve for B- in the comparison
+suite, and the split suite gives each group one linalg.psd_split and one
+linalg.split_invariant_violations call.  Each value keeps the bits of the
+per-trial public call on basic_corpus, the per-trial view of the same
+draw, and the failures come in trial order, capped at 20, as a per-trial
+loop gives them.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import bounds, geometry, linalg, montecarlo, slicing
-from .generators import _random_profile, _random_symmetric, parse_family_spec
+from .generators import _upper_mask, parse_family_spec
 from .profile import StdDevProfile, sigma
-from .seeding import _CHUNK, _streams, _trial_batches
+from .seeding import (
+    DENSITY_TAG,
+    DIM_TAG,
+    MATRIX_TAG,
+    PAIR_TAG,
+    PROFILE_TAG,
+    SCALE_TAG,
+    _batches,
+    _segments,
+)
 
 RATIO_ENVELOPE = 10.0
 # The Monte Carlo estimates that equivalence_report reads.
@@ -31,31 +39,50 @@ EQUIV_QUANTITIES = ("rowmax", "entrymax", "gdot")
 
 
 def basic_corpus(trials: int, seed: int):
-    """Random (profile, v, w, gamma) tuples: d in 2..16, gamma cycling
-    {0.1, 1, 10}, support density cycling {1, 0.6, 0.3}."""
-    for batch in _trial_stream_batches(trials, seed, 17):
-        for t, rng, d, profile_rng in zip(*batch):
-            profile = _random_profile(d, profile_rng, (1.0, 0.6, 0.3)[(t // 3) % 3])
-            v, w = rng.standard_normal((2, d))  # v's d normals, then w's
-            yield profile, v, w, (0.1, 1.0, 10.0)[t % 3]
+    """Random (profile, v, w, gamma) tuples in trial order: d in 2..16, gamma
+    cycling {0.1, 1, 10}, support density cycling {1, 0.6, 0.3} every three
+    trials.  The per-trial view of the batches that the basic and
+    comparison checks read."""
+    for ts, groups in _basic_batches(trials, seed):
+        cases = [None] * len(ts)
+        for _, rows, b, v, w, gamma in groups:
+            for k, bk, vk, wk, gk in zip(rows.tolist(), b, v, w, gamma.tolist()):
+                cases[k] = (StdDevProfile._trusted(bk), vk, wk, gk)
+        yield from cases
 
 
-def _trial_stream_batches(trials: int, seed: int, d_stop: int):
-    # (ts, streams, ds, inner) for each batch of _trial_batches: for trial
-    # ts[k], streams[k] = default_rng([seed, t]), ds[k] =
-    # streams[k].integers(2, d_stop), and inner[k] = default_rng([seed *
-    # 1_000_003 + t, d]), the stream of trial t's random matrix.
-    for ts, streams in _trial_batches(trials, seed):
-        ds = [int(rng.integers(2, d_stop)) for rng in streams]
-        yield ts, streams, ds, _streams([seed * 1_000_003 + t, d] for t, d in zip(ts, ds))
+def _basic_batches(trials: int, seed: int):
+    # (ts, groups) for each batch of basic_corpus, with one group (d, rows,
+    # b, v, w, gamma) per d: the batch rows of the trials of that d, their
+    # (k, d, d) profile stack, (k, d) stacks of v and w, and (k,) gammas.
+    # A trial's segments are its d, d*d |N| entries and d*d density
+    # uniforms, of which the upper triangle is kept and mirrored, and 2d
+    # normals, v's then w's.
+    for ts, stream in _batches(trials, seed):
+        t = np.array(ts)
+        ds = stream(DIM_TAG).integers(2, 17, size=len(ts))
+        entries, pairs = ds * ds, 2 * ds
+        normals = stream(PROFILE_TAG).standard_normal(entries.sum())
+        uniforms = stream(DENSITY_TAG).random(entries.sum())
+        vw = stream(PAIR_TAG).standard_normal(pairs.sum())
+        density = np.array([1.0, 0.6, 0.3])[t // 3 % 3]
+        gamma = np.array([0.1, 1.0, 10.0])[t % 3]
+        groups = []
+        for d, rows in _rows_by_d(ds):
+            b = np.abs(_segments(normals, entries, rows)).reshape(-1, d, d)
+            # Uniforms are below 1, so a trial of density 1 keeps every entry.
+            b *= _segments(uniforms, entries, rows).reshape(-1, d, d) < density[rows, None, None]
+            b = np.where(_upper_mask(d), b, b.swapaxes(-1, -2))
+            v, w = _segments(vw, pairs, rows).reshape(-1, 2, d).transpose(1, 0, 2)
+            groups.append((d, rows, b, v, w, gamma[rows]))
+        yield ts, groups
 
 
-def _rows_by_d(ds) -> dict:
-    # {d: the indices k with ds[k] == d, in order}
-    groups = {}
-    for k, d in enumerate(ds):
-        groups.setdefault(d, []).append(k)
-    return groups
+def _rows_by_d(ds: np.ndarray):
+    # (d, the rows k with ds[k] == d) for each d in ds, in increasing d.
+    # Not np.unique, which imports numpy.ma: 1.4 MiB more peak memory.
+    for d in sorted(set(ds.tolist())):
+        yield d, np.flatnonzero(ds == d)
 
 
 def _capped(results, margin_key) -> tuple[list, dict]:
@@ -74,21 +101,16 @@ def _capped(results, margin_key) -> tuple[list, dict]:
 
 def _corpus_results(trials: int, seed: int, test):
     # (scaled margin, failure record or None) for each basic_corpus trial,
-    # in trial order.  The corpus is read _CHUNK trials at a time and each
-    # chunk is grouped by d: test(b2, v, w, gamma) gets the (k, d, d) stack
-    # of variance matrices, the (k, d) stacks of v and w and the (k,) gammas,
-    # and returns the k margins, the k failure flags and the named (k,)
-    # values that a failure record carries.
-    numbered = enumerate(basic_corpus(trials, seed))
-    while batch := list(itertools.islice(numbered, _CHUNK)):
-        ts, chunk = zip(*batch)
-        margins, records = np.empty(len(chunk)), [None] * len(chunk)
-        for d, rows in _rows_by_d([profile.d for profile, *_ in chunk]).items():
-            profiles, v, w, gamma = zip(*(chunk[k] for k in rows))
-            margins[rows], failing, named = test(np.array([p.b for p in profiles]) ** 2,
-                                                 np.array(v), np.array(w), np.array(gamma))
+    # in trial order.  test(b2, v, w, gamma) gets one d group of a batch,
+    # the (k, d, d) stack of variance matrices, the (k, d) stacks of v and
+    # w and the (k,) gammas, and returns the k margins, the k failure flags
+    # and the named (k,) values that a failure record carries.
+    for ts, groups in _basic_batches(trials, seed):
+        margins, records = np.empty(len(ts)), [None] * len(ts)
+        for d, rows, b, v, w, gamma in groups:
+            margins[rows], failing, named = test(b ** 2, v, w, gamma)
             for i in np.flatnonzero(failing).tolist():
-                records[rows[i]] = {"trial": ts[rows[i]], "d": d, "gamma": gamma[i],
+                records[rows[i]] = {"trial": ts[rows[i]], "d": d, "gamma": float(gamma[i]),
                                     **{key: float(value[i]) for key, value in named.items()}}
         yield from zip(margins.tolist(), records)
 
@@ -115,20 +137,25 @@ def comparison(trials: int, seed: int, tol: float) -> tuple[list, dict]:
 
 
 def split(trials: int, seed: int) -> tuple[list, dict]:
-    """The B = B+ - B- invariants on random symmetric matrices, d in 2..32,
-    scaled by 0.01, 1 or 100.  Each batch of trials is grouped by d, and
-    each group is split and checked as one (k, d, d) stack."""
+    """The B = B+ - B- invariants on random symmetric matrices (A + A.T) / 2,
+    d in 2..32, A standard Gaussian scaled by 0.01, 1 or 100.  A trial's
+    segments are its d, its scale index and the d*d entries of A.  Each
+    batch of trials is grouped by d, and each group is split and checked as
+    one (k, d, d) stack."""
     def results():
-        for ts, streams, ds, inner in _trial_stream_batches(trials, seed, 33):
-            # rng.choice([0.01, 1.0, 100.0]), drawn as the index it takes
-            scales = [(0.01, 1.0, 100.0)[int(rng.integers(0, 3))] for rng in streams]
+        for ts, stream in _batches(trials, seed):
+            ds = stream(DIM_TAG).integers(2, 33, size=len(ts))
+            scales = np.array([0.01, 1.0, 100.0])[stream(SCALE_TAG).integers(0, 3, size=len(ts))]
+            entries = ds * ds
+            normals = stream(MATRIX_TAG).standard_normal(entries.sum())
             problems = [None] * len(ts)
-            for d, rows in _rows_by_d(ds).items():
-                stack = _random_symmetric(d, [inner[k] for k in rows], [scales[k] for k in rows])
+            for d, rows in _rows_by_d(ds):
+                a = _segments(normals, entries, rows).reshape(-1, d, d) * scales[rows, None, None]
+                stack = (a + a.swapaxes(-1, -2)) / 2.0
                 found = linalg.split_invariant_violations(stack, linalg.psd_split(stack))
-                for k, matrix_problems in zip(rows, found):
+                for k, matrix_problems in zip(rows.tolist(), found):
                     problems[k] = matrix_problems
-            for t, d, matrix_problems in zip(ts, ds, problems):
+            for t, d, matrix_problems in zip(ts, ds.tolist(), problems):
                 yield 0.0, ({"trial": t, "d": d, "problems": matrix_problems}
                             if matrix_problems else None)
     return _capped(results(), None)

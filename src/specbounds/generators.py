@@ -102,12 +102,7 @@ def random_profile(d: int, seed: int, density: float = 1.0) -> StdDevProfile:
     """Stress profile with |N(0,1)| entries and optional Bernoulli support,
     symmetric by mirroring the upper triangle.  Pure in (d, seed, density)."""
     _check_dim(d)
-    return _random_profile(d, np.random.default_rng([seed, d]), density)
-
-
-def _random_profile(d: int, rng: np.random.Generator, density: float) -> StdDevProfile:
-    # random_profile's body, drawing from the stream default_rng([seed, d])
-    # or its equal from seeding._streams.
+    rng = np.random.default_rng([seed, d])
     b = np.abs(rng.standard_normal((d, d)))
     if density < 1.0:
         b *= rng.random((d, d)) < density
@@ -127,14 +122,8 @@ def _upper_mask(d: int) -> np.ndarray:
 def random_symmetric(d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """Random symmetric Gaussian matrix (A + A.T) / 2, for eigensolver
     stress corpora."""
-    return _random_symmetric(d, [np.random.default_rng([seed, d])], [scale])[0]
-
-
-def _random_symmetric(d: int, rngs, scales) -> np.ndarray:
-    # random_symmetric's body for a (k, d, d) stack: matrix k draws from
-    # the stream rngs[k] at scale scales[k].
-    a = np.array([rng.standard_normal((d, d)) for rng in rngs]) * np.array(scales)[:, None, None]
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    a = np.random.default_rng([seed, d]).standard_normal((d, d)) * scale
+    return (a + a.T) / 2.0
 
 
 def make_family(name: str, params: dict) -> StdDevProfile:

@@ -6,9 +6,9 @@ of private kernels, built from np.matvec, np.vecmat and np.vecdot,
 evaluates them on one trial or on a stack of trials, with one matrix for
 the whole stack (violation_scan) or one per trial (the batched corpus
 checks in specbounds.checks); their rounding sits far inside that scale.
-violation_scan stacks the trials of each batch that
-seeding._trial_batches yields, so its arrays hold at most seeding._CHUNK
-rows of length d, whatever the trial count.
+violation_scan stacks the trials of each batch of seeding._batches, so its
+arrays hold at most seeding._CHUNK rows of length d, whatever the trial
+count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import SpectralSplit
 from .profile import StdDevProfile
-from .seeding import _trial_batches
+from .seeding import PAIR_TAG, _batches
 
 BALL_CSV_HEADER = "theta,x1,x2"
 
@@ -114,21 +114,19 @@ def violation_scan(p: StdDevProfile, trials: int, seed: int) -> float:
     """Fraction of uniform unit-sphere pairs (v, w) violating
     d(v,w) <= 2 ||x(v)-x(w)||.
 
-    Pairs are normalized Gaussian vectors from per-trial streams
-    (seed, t), so the scan is deterministic in the seed.  The strict
-    comparison carries a 1e-12 relative slack so rounding at the PSD
-    equality boundary is never counted as a violation.
+    Pairs are normalized Gaussian vectors: trial t is row t % _CHUNK of
+    batch t // _CHUNK, which draws each trial's 2d normals, v's then w's,
+    from its pair stream (seed, PAIR_TAG, batch) of seeding, so the scan
+    is deterministic in the seed.  The strict comparison carries a 1e-12
+    relative slack so rounding at the PSD equality boundary is never
+    counted as a violation.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     b2 = p.variance_matrix
     violations = 0
-    for ts, streams in _trial_batches(trials, seed):
-        # Row k holds trial ts[k]'s (v, w): the two vectors its stream draws
-        # one after the other.
-        pairs = np.empty((len(ts), 2, p.d))
-        for rng, row in zip(streams, pairs):
-            rng.standard_normal(out=row)
+    for ts, stream in _batches(trials, seed):
+        pairs = stream(PAIR_TAG).standard_normal((len(ts), 2, p.d))
         v, w = _unit_rows(pairs).transpose(1, 0, 2)
         dist = np.sqrt(np.maximum(_natural_dist_sq(b2, v, w)[0], 0.0))
         xdist = 2.0 * np.sqrt(_image_dist_sq(b2, v, w))

@@ -49,33 +49,15 @@ import numpy as np
 from .geometry import _check_vector
 from .linalg import _clipped_factor, spectral_norm, sym_eig
 from .profile import StdDevProfile, support_blocks
+from .seeding import GDOT_TAG, X_TAG, YMAX_TAG, RandomStream
 
 # Quantities estimated from a profile alone; distsq also needs v and w.
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
 # Profile quantities that estimate reduces from the X stacks.
 X_QUANTITIES = ("norm", "rowmax", "entrymax")
 
-# Stream tags: X for norm, rowmax, entrymax and distsq; g for gdot and ymax.
-X_TAG, GDOT_TAG, YMAX_TAG = 1, 2, 3
-
 # Standard normals per block (256 KiB of float64).
 BLOCK_NORMALS = 32768
-
-
-@dataclass(frozen=True)
-class RandomStream:
-    """One pseudo-random stream, keyed by (seed, tag, block)."""
-
-    seed: int
-    tag: int
-    block: int = 0
-
-    def generator(self) -> np.random.Generator:
-        # As a spawn key, (tag, block) cannot collide with the
-        # default_rng([seed, t]) streams of the corpora; default_rng([seed,
-        # tag, 0]) would, because numpy pads short entropy with zeros.
-        key = np.random.SeedSequence(self.seed, spawn_key=(self.tag, self.block))
-        return np.random.default_rng(key)
 
 
 @dataclass(frozen=True)

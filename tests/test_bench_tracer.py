@@ -50,9 +50,9 @@ def test_every_target_resolves_and_uninstall_restores():
     assert [_traced_callable(*target) for target in targets] == originals
 
 
-def test_corpus_is_traced_where_the_checks_read_it():
+def test_corpus_is_traced_per_item():
     # cli re-exports checks.basic_corpus, and the tracer rebinds it in every
-    # module, so the cli.basic_corpus spans count the corpus the checks run.
+    # module, with one cli.basic_corpus span per trial drawn.
     tracer_module = _load_tracer()
     original = checks.basic_corpus
     assert cli.basic_corpus is original
@@ -60,7 +60,7 @@ def test_corpus_is_traced_where_the_checks_read_it():
     try:
         tracer.install()
         assert checks.basic_corpus.__wrapped__ is original
-        checks.basic(5, 0, 1e-9)
+        assert len(list(cli.basic_corpus(5, 0))) == 5
     finally:
         tracer.uninstall()
     assert checks.basic_corpus is original

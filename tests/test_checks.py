@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import CHUNK, reference_split_trial
 
 from specbounds import checks, geometry, linalg
 from specbounds.checks import basic_corpus
@@ -58,9 +59,9 @@ def test_family_checks_match_report(capsys):
 
 def test_basic_corpus_cycles_support_density():
     # densities 1, 0.6 and 0.3 in turn: the zero entries of the first 300
-    # profiles, out of 30790
+    # profiles, out of 30086
     zeros = sum(int(np.count_nonzero(p.b == 0.0)) for p, *_ in basic_corpus(300, 0))
-    assert zeros == 11582
+    assert zeros == 10423
 
 
 @pytest.mark.parametrize("ratio, fails", [(12.0, True), (0.09, True), (9.9, False)])
@@ -100,20 +101,20 @@ def _reference_results(check, trials, seed, tol):
 class TestBatchedCorpusChecks:
     # The batched checks read the corpus in d-grouped stacks and must give
     # the per-trial loop's values, bit for bit.
-    TRIALS = 1100  # past one chunk of checks._CHUNK
+    TRIALS = 1100  # past one chunk of CHUNK trials
 
     @pytest.mark.parametrize("check, key", [("basic", "min_scaled_gap"),
                                             ("comparison", "min_scaled_slack")])
     @pytest.mark.parametrize("tol", [1e-9, -0.1])
     def test_same_failures_and_worst_as_per_trial_loop(self, check, key, tol):
-        # At tol -0.1 the 20th failure, where the checks stop, is trial 602
-        # (basic) or 744 (comparison), inside the first chunk.
+        # At tol -0.1 the 20th failure, where the checks stop, is trial 679
+        # (basic) or 853 (comparison), inside the first chunk.
         failures, worst = _reference_results(check, self.TRIALS, 4, tol)
         if tol > 0:
             assert failures == []
         else:
             assert len(failures) == 20
-            assert failures[-1]["trial"] == {"basic": 602, "comparison": 744}[check]
+            assert failures[-1]["trial"] == {"basic": 679, "comparison": 853}[check]
         result = getattr(checks, check)(self.TRIALS, 4, tol)
         assert result == (failures, {key: worst})
         assert json.dumps(result[0]) == json.dumps(failures)
@@ -123,9 +124,9 @@ class TestBatchedCorpusChecks:
     def test_failures_past_the_first_chunk_name_their_trial(self, check, key):
         # At tol -1e-3, 9 of the 20 failures of each check fall past trial
         # 1023, so a trial counted from its chunk's start would show.
-        trials = 2 * checks._CHUNK + 5
+        trials = 2 * CHUNK + 5
         failures, worst = _reference_results(check, trials, 4, -1e-3)
-        assert len(failures) == 20 and failures[-1]["trial"] >= checks._CHUNK
+        assert len(failures) == 20 and failures[-1]["trial"] >= CHUNK
         assert getattr(checks, check)(trials, 4, -1e-3) == (failures, {key: worst})
 
     def test_stacked_values_equal_per_trial_calls(self):
@@ -158,19 +159,16 @@ class TestStackedSplit:
     def test_failures_equal_per_matrix_loop_across_chunks(self, monkeypatch):
         # A clip of 3e-4 ||B||_F leaves small negative eigenvalues out of
         # the factor, so the factor residual fails on 15 of these trials,
-        # 7 of them past the first chunk.
+        # 9 of them past the first chunk.
         monkeypatch.setattr(linalg, "CLIP_REL", 3e-4)
-        trials, seed = 2 * checks._CHUNK + 5, 4
+        trials, seed = 2 * CHUNK + 5, 4
         reference = []
         for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            d = int(rng.integers(2, 33))
-            scale = float(rng.choice([0.01, 1.0, 100.0]))
-            a = random_symmetric(d, seed=seed * 1_000_003 + t, scale=scale)
+            a = reference_split_trial(t, seed)
             problems = linalg.split_invariant_violations(a, psd_split(a))
             if problems:
-                reference.append((t, d, [_description(problem) for problem in problems]))
-        assert 0 < len(reference) < 20 and reference[-1][0] >= checks._CHUNK
+                reference.append((t, len(a), [_description(problem) for problem in problems]))
+        assert 0 < len(reference) < 20 and reference[-1][0] >= CHUNK
         assert all(problems == ["factor residual"] for *_, problems in reference)
         failures, details = checks.split(trials, seed)
         assert details == {}

@@ -1,10 +1,16 @@
 """Digests of seven CLI reports, pinned so that a refactor shows it left
-every output bit unchanged.
+every output bit unchanged, and fingerprints of the verify corpora.
 
 A digest is the first 16 hex digits of the sha256 of the report with
-wall_time_s removed, dumped with sorted keys.  The values were taken under
-numpy 2.4.6 and hold at one and at two OpenBLAS threads.  A numpy upgrade
-that moves them re-pins them in the same change and says so.
+wall_time_s removed, dumped with sorted keys.  A fingerprint is the first
+16 hex digits of the sha256 of a corpus's drawn arrays, in trial order (or
+in the order the split check stacks them).  The basic and comparison
+reports read min_scaled_gap and min_scaled_slack, which are exactly 0.0
+whenever the corpus holds an all-zero profile, so their digests see the
+report's schema more than the corpus bits; the fingerprints see the bits.
+The values were taken under numpy 2.4.6 and hold at one and at two
+OpenBLAS threads.  A numpy upgrade that moves them re-pins them in the
+same change and says so.
 """
 
 import contextlib
@@ -15,7 +21,8 @@ import json
 import numpy as np
 import pytest
 
-from specbounds import cli
+from specbounds import checks, cli, geometry, linalg
+from specbounds.generators import gen_bandeira
 
 PINNED_NUMPY = "2.4.6"
 
@@ -48,4 +55,44 @@ def test_report_digest_is_pinned(command):
     digest = report_digest(command.split())
     assert digest == DIGESTS[command], (
         f"{command!r} gives {digest}, pinned {DIGESTS[command]} under numpy "
+        f"{PINNED_NUMPY}; running numpy {np.__version__}")
+
+
+def _basic_corpus_arrays(monkeypatch):
+    for p, v, w, gamma in checks.basic_corpus(2049, 1):
+        yield from (p.b, v, w, np.float64(gamma))
+
+
+def _split_stacks(monkeypatch):
+    stacks = []
+    monkeypatch.setattr(linalg, "split_invariant_violations",
+                        lambda stack, split: stacks.append(stack) or [[] for _ in stack])
+    checks.split(2049, 1)
+    return stacks
+
+
+def _scan_pairs(monkeypatch):
+    pairs = []
+    unit_rows = geometry._unit_rows
+    monkeypatch.setattr(geometry, "_unit_rows", lambda x: pairs.append(x.copy()) or unit_rows(x))
+    geometry.violation_scan(gen_bandeira(1e-4), 2049, 5)
+    return pairs
+
+
+FINGERPRINTS = {
+    "basic_corpus(2049, 1): b, v, w, gamma": (_basic_corpus_arrays, "37bb9ad26c91507f"),
+    "split(2049, 1): the checked stacks": (_split_stacks, "6e229871708baade"),
+    "violation_scan(bandeira:delta=1e-4, 2049, 5): the pairs": (_scan_pairs, "270b21362aec2533"),
+}
+
+
+@pytest.mark.parametrize("corpus", list(FINGERPRINTS))
+def test_corpus_fingerprint_is_pinned(monkeypatch, corpus):
+    arrays, pinned = FINGERPRINTS[corpus]
+    digest = hashlib.sha256()
+    for array in arrays(monkeypatch):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    fingerprint = digest.hexdigest()[:16]
+    assert fingerprint == pinned, (
+        f"{corpus!r} gives {fingerprint}, pinned {pinned} under numpy "
         f"{PINNED_NUMPY}; running numpy {np.__version__}")

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CHUNK, reference_pair
 
-from specbounds import geometry, seeding
+from specbounds import geometry
 from specbounds.cli import basic_corpus
 from specbounds.generators import (
     gen_bandeira,
@@ -346,9 +347,7 @@ def _ref_comparison(p, split, v, w, gamma):
 def _ref_violation_scan(p, trials, seed):
     violations = 0
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        v, w = (u / np.linalg.norm(u) for u in (rng.standard_normal(p.d),
-                                                 rng.standard_normal(p.d)))
+        v, w = (u / np.linalg.norm(u) for u in reference_pair(t, seed, p.d))
         dist = math.sqrt(max(_ref_natural(p, v, w), 0.0))
         xdist = 2.0 * math.sqrt(_ref_image_dist_sq(p, v, w))
         if dist > xdist + 1e-12 * (1.0 + dist + xdist):
@@ -430,14 +429,20 @@ class TestStackedViolationScan:
         assert violation_scan(p, 2000, 7) == expected
 
     def test_one_trial_past_the_chunk(self):
-        # With seed 18 the one trial past the chunk is itself a violation, so
+        # With seed 6 the one trial past the chunk is itself a violation, so
         # losing or misnumbering it changes the fraction.
         p = gen_bandeira(0.125)
-        trials = seeding._CHUNK + 1
-        rng = np.random.default_rng([18, trials - 1])
-        v, w = (u / np.linalg.norm(u) for u in rng.standard_normal((2, 2)))
+        trials = CHUNK + 1
+        v, w = (u / np.linalg.norm(u) for u in reference_pair(trials - 1, 6, p.d))
         assert math.sqrt(_ref_natural(p, v, w)) > 2.0 * math.sqrt(_ref_image_dist_sq(p, v, w))
-        assert violation_scan(p, trials, 18) == _ref_violation_scan(p, trials, 18)
+        assert violation_scan(p, trials, 6) == _ref_violation_scan(p, trials, 6)
+
+    def test_count_over_two_chunks_and_one_trial(self):
+        # 3 violations in 2049 trials at seed 5
+        p, trials = gen_bandeira(1e-4), 2 * CHUNK + 1
+        expected = _ref_violation_scan(p, trials, 5)
+        assert expected == 3 / trials
+        assert violation_scan(p, trials, 5) == expected
 
     def test_zero_row_becomes_the_normalised_ones_vector(self):
         x = np.array([[[0.0, 0.0, 0.0], [3.0, 0.0, 4.0]],
