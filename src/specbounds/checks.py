@@ -10,9 +10,10 @@ the batch draw: the basic and comparison suites evaluate the geometry
 kernels on them, with one stacked eigensolve for B- in the comparison
 suite, and the split suite gives each group one linalg.psd_split and one
 linalg.split_invariant_violations call.  Each value keeps the bits of the
-per-trial public call on basic_corpus, the per-trial view of the same
-draw, and the failures come in trial order, capped at 20, as a per-trial
-loop gives them.
+per-trial public call on basic_corpus, the per-trial view of the draw.
+Each suite reports in one pass: it takes each batch's failure records in
+trial order and stops at the batch of the 20th, and basic and comparison
+keep the least scaled margin up to that failure.
 """
 
 from __future__ import annotations
@@ -85,34 +86,31 @@ def _rows_by_d(ds: np.ndarray):
         yield d, np.flatnonzero(ds == d)
 
 
-def _capped(results, margin_key) -> tuple[list, dict]:
-    # results yields (scaled margin, failure record or None) in trial order;
-    # stops at the 20th failure, and details name the least margin seen
-    # under margin_key.
+def _corpus_check(trials: int, seed: int, test, margin_key: str) -> tuple[list, dict]:
+    # The failures of test on basic_corpus in trial order up to the 20th,
+    # whose batch is the last drawn, and under margin_key the least scaled
+    # margin up to there, but for all-zero profiles, whose margin is exactly
+    # 0 (0.0 if no trial is left: JSON has no inf).  test(b2, v, w, gamma)
+    # gets the stacks of one d group of a batch and returns per trial its
+    # margin, its failure flag and the named values of its failure record.
     failures, worst = [], np.inf
-    for margin, failure in results:
-        worst = min(worst, margin)
-        if failure is not None:
-            failures.append(failure)
-            if len(failures) >= 20:
-                break
-    return failures, {margin_key: float(worst)} if margin_key else {}
-
-
-def _corpus_results(trials: int, seed: int, test):
-    # (scaled margin, failure record or None) for each basic_corpus trial,
-    # in trial order.  test(b2, v, w, gamma) gets one d group of a batch,
-    # the (k, d, d) stack of variance matrices, the (k, d) stacks of v and
-    # w and the (k,) gammas, and returns the k margins, the k failure flags
-    # and the named (k,) values that a failure record carries.
     for ts, groups in _basic_batches(trials, seed):
         margins, records = np.empty(len(ts)), [None] * len(ts)
         for d, rows, b, v, w, gamma in groups:
-            margins[rows], failing, named = test(b ** 2, v, w, gamma)
+            margin, failing, named = test(b ** 2, v, w, gamma)
+            margins[rows] = np.where(b.any(axis=(1, 2)), margin, np.inf)
             for i in np.flatnonzero(failing).tolist():
                 records[rows[i]] = {"trial": ts[rows[i]], "d": d, "gamma": float(gamma[i]),
                                     **{key: float(value[i]) for key, value in named.items()}}
-        yield from zip(margins.tolist(), records)
+        for margin, record in zip(margins.tolist(), records):
+            worst = min(worst, margin)
+            if record is not None:
+                failures.append(record)
+                if len(failures) == 20:
+                    break
+        if len(failures) == 20:
+            break
+    return failures, {margin_key: worst if worst < np.inf else 0.0}
 
 
 def basic(trials: int, seed: int, tol: float) -> tuple[list, dict]:
@@ -122,7 +120,7 @@ def basic(trials: int, seed: int, tol: float) -> tuple[list, dict]:
         gap = geometry._basic_gap(b2, v, w, gamma, lhs, quad)
         scale = 1.0 + abs(gap + lhs) + abs(lhs)
         return gap / scale, gap < -tol * scale, {"gap": gap, "scale": scale}
-    return _capped(_corpus_results(trials, seed, test), "min_scaled_gap")
+    return _corpus_check(trials, seed, test, "min_scaled_gap")
 
 
 def comparison(trials: int, seed: int, tol: float) -> tuple[list, dict]:
@@ -133,7 +131,7 @@ def comparison(trials: int, seed: int, tol: float) -> tuple[list, dict]:
         scale = 1.0 + abs(comp) + abs(nat)
         return (comp - nat) / scale, comp < nat - tol * scale, {"comparison": comp,
                                                                  "natural": nat}
-    return _capped(_corpus_results(trials, seed, test), "min_scaled_slack")
+    return _corpus_check(trials, seed, test, "min_scaled_slack")
 
 
 def split(trials: int, seed: int) -> tuple[list, dict]:
@@ -142,23 +140,24 @@ def split(trials: int, seed: int) -> tuple[list, dict]:
     segments are its d, its scale index and the d*d entries of A.  Each
     batch of trials is grouped by d, and each group is split and checked as
     one (k, d, d) stack."""
-    def results():
-        for ts, stream in _batches(trials, seed):
-            ds = stream(DIM_TAG).integers(2, 33, size=len(ts))
-            scales = np.array([0.01, 1.0, 100.0])[stream(SCALE_TAG).integers(0, 3, size=len(ts))]
-            entries = ds * ds
-            normals = stream(MATRIX_TAG).standard_normal(entries.sum())
-            problems = [None] * len(ts)
-            for d, rows in _rows_by_d(ds):
-                a = _segments(normals, entries, rows).reshape(-1, d, d) * scales[rows, None, None]
-                stack = (a + a.swapaxes(-1, -2)) / 2.0
-                found = linalg.split_invariant_violations(stack, linalg.psd_split(stack))
-                for k, matrix_problems in zip(rows.tolist(), found):
-                    problems[k] = matrix_problems
-            for t, d, matrix_problems in zip(ts, ds.tolist(), problems):
-                yield 0.0, ({"trial": t, "d": d, "problems": matrix_problems}
-                            if matrix_problems else None)
-    return _capped(results(), None)
+    failures = []
+    for ts, stream in _batches(trials, seed):
+        ds = stream(DIM_TAG).integers(2, 33, size=len(ts))
+        scales = np.array([0.01, 1.0, 100.0])[stream(SCALE_TAG).integers(0, 3, size=len(ts))]
+        entries = ds * ds
+        normals = stream(MATRIX_TAG).standard_normal(entries.sum())
+        problems = [None] * len(ts)
+        for d, rows in _rows_by_d(ds):
+            a = _segments(normals, entries, rows).reshape(-1, d, d) * scales[rows, None, None]
+            stack = (a + a.swapaxes(-1, -2)) / 2.0
+            found = linalg.split_invariant_violations(stack, linalg.psd_split(stack))
+            for k, matrix_problems in zip(rows.tolist(), found):
+                problems[k] = matrix_problems
+        failures += [{"trial": t, "d": d, "problems": matrix_problems}
+                     for t, d, matrix_problems in zip(ts, ds.tolist(), problems) if matrix_problems]
+        if len(failures) >= 20:
+            return failures[:20], {}
+    return failures, {}
 
 
 def _per_family(families, test) -> tuple[list, dict]:

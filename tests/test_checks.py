@@ -30,7 +30,8 @@ def test_basic_matches_reference_loop_and_report(capsys):
         gap = basic_gap(p, v, w, gamma)
         scale = 1.0 + abs(gap + lhs) + abs(lhs)
         assert gap >= -1e-9 * scale
-        worst = min(worst, gap / scale)
+        if p.b.any():
+            worst = min(worst, gap / scale)
     result = checks.basic(500, 2, 1e-9)
     assert result == ([], {"min_scaled_gap": worst})
     report = _verify(capsys, "basic", "--trials", "500", "--seed", "2", "--tol", "1e-9")
@@ -44,11 +45,27 @@ def test_comparison_matches_reference_loop_and_report(capsys):
         comp = comparison_dist_sq(p, psd_split(p.variance_matrix), v, w, gamma)
         scale = 1.0 + abs(comp) + abs(nat)
         assert comp >= nat - 1e-9 * scale
-        worst = min(worst, (comp - nat) / scale)
+        if p.b.any():
+            worst = min(worst, (comp - nat) / scale)
     result = checks.comparison(300, 0, 1e-9)
     assert result == ([], {"min_scaled_slack": worst})
     report = _verify(capsys, "comparison", "--trials", "300", "--seed", "0", "--tol", "1e-9")
     assert result == (report["failures"], {"min_scaled_slack": report["min_scaled_slack"]})
+
+
+@pytest.mark.parametrize("check, key", [("basic", "min_scaled_gap"),
+                                        ("comparison", "min_scaled_slack")])
+def test_worst_margin_without_a_nonzero_profile_reads_zero(monkeypatch, check, key):
+    # All-zero profiles are left out of the least margin, and with no other
+    # trial it reads 0.0, as JSON cannot hold inf.  They still fail at a
+    # negative tol: their margin is 0.
+    assert getattr(checks, check)(0, 1, 1e-9) == ([], {key: 0.0})
+    batches = checks._basic_batches
+    monkeypatch.setattr(checks, "_basic_batches", lambda trials, seed: (
+        (ts, [(d, rows, 0.0 * b, v, w, gamma) for d, rows, b, v, w, gamma in groups])
+        for ts, groups in batches(trials, seed)))
+    failures, details = getattr(checks, check)(50, 1, -0.1)
+    assert details == {key: 0.0} and [f["trial"] for f in failures] == list(range(20))
 
 
 def test_family_checks_match_report(capsys):
@@ -76,7 +93,7 @@ def test_equiv_envelope_is_one_tenth_to_ten(monkeypatch, ratio, fails):
 def _reference_results(check, trials, seed, tol):
     # checks.basic or checks.comparison as a per-trial loop over the public
     # geometry functions: failures in trial order up to the 20th, and the
-    # least scaled margin up to there.
+    # least scaled margin up to there of the profiles that are not all zero.
     failures, worst = [], math.inf
     for t, (p, v, w, gamma) in enumerate(basic_corpus(trials, seed)):
         nat = natural_dist_sq(p, v, w)
@@ -90,7 +107,8 @@ def _reference_results(check, trials, seed, tol):
             scale = 1.0 + abs(comp) + abs(nat)
             margin, fails = (comp - nat) / scale, comp < nat - tol * scale
             record = {"trial": t, "d": p.d, "gamma": gamma, "comparison": comp, "natural": nat}
-        worst = min(worst, margin)
+        if p.b.any():
+            worst = min(worst, margin)
         if fails:
             failures.append(record)
             if len(failures) == 20:

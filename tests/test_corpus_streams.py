@@ -126,6 +126,30 @@ def test_split_failures_come_in_trial_order_capped_at_20(monkeypatch):
     assert failures == [{"trial": t, "d": 2, "problems": ["flagged"]} for t in expected[:20]]
 
 
+@pytest.mark.parametrize("check", ["basic", "comparison", "split"])
+def test_checks_stop_drawing_at_the_batch_of_the_20th_failure(monkeypatch, check):
+    # At tol -0.1 the 20th basic or comparison failure is trial 679 or 853,
+    # and with every split matrix flagged it is trial 19: all in batch 0.
+    drawn = []
+    batches = checks._batches
+
+    def counted(trials, seed):
+        for ts, stream in batches(trials, seed):
+            drawn.append(ts[0] // CHUNK)
+            yield ts, stream
+
+    monkeypatch.setattr(checks, "_batches", counted)
+    if check == "split":
+        monkeypatch.setattr(linalg, "psd_split", lambda stack: None)
+        monkeypatch.setattr(linalg, "split_invariant_violations",
+                            lambda stack, split: [["flagged"] for _ in stack])
+        failures, _ = checks.split(2 * CHUNK + 1, 4)
+    else:
+        failures, _ = getattr(checks, check)(2 * CHUNK + 1, 4, -0.1)
+    assert len(failures) == 20 and failures[-1]["trial"] < CHUNK
+    assert drawn == [0]
+
+
 def test_violation_scan_pairs_equal_reference_batch_rows(monkeypatch):
     p, seed = gen_bandeira(1e-4), 5
     unit_rows = geometry._unit_rows

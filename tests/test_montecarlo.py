@@ -721,6 +721,28 @@ def _entrymax_oracle(p):
     return _diagonal_norm_oracle(p.b[np.tril_indices(p.d)])
 
 
+def _bandeira_oracles(delta, points=65536):
+    """E||X|| and E gdot for bandeira:delta, X = [[sqrt(delta) g1, g2], [g2,
+    0]]: ||X|| = sqrt(delta) |g1| / 2 + sqrt(delta g1^2 / 4 + g2^2) and gdot =
+    max(sqrt(delta g1^2 + g2^2), |g1|).  With (g1, g2) = r (cos, sin), E r =
+    sqrt(pi/2), and the means over the angle are periodic trapezoid rules."""
+    theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    cos2, sin2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    radius = math.sqrt(math.pi / 2.0)
+    norm = math.sqrt(delta / (2.0 * math.pi)) + radius * np.sqrt(delta * cos2 / 4.0 + sin2).mean()
+    gdot = radius * np.maximum(np.sqrt(delta * cos2 + sin2), np.sqrt(cos2)).mean()
+    return float(norm), float(gdot)
+
+
+def _rank_one_ymax_oracle(p):
+    """E ymax when B^- = L L^T has one column L: Y = L g, so E max_i Y_i =
+    (max L - min L) E g+ = (max L - min L) / sqrt(2 pi)."""
+    eigenvalues, eigenvectors = np.linalg.eigh(p.variance_matrix)
+    assert np.count_nonzero(eigenvalues < 0) == 1
+    factor = math.sqrt(-eigenvalues[0]) * eigenvectors[:, 0]
+    return (factor.max() - factor.min()) / math.sqrt(2.0 * math.pi)
+
+
 class TestExactOracles:
     # Seeds and replicate counts were fixed before the first run.
     SEED = 606
@@ -830,6 +852,32 @@ class TestExactOracles:
         for bound, (value, w_g, w_y) in exact.items():
             stderr = math.hypot(w_g * s_g, w_y * s_y)
             assert abs(report["bounds"][bound] - value) <= 5.0 * stderr, bound
+
+    # bandeira:delta at delta = 1e-3, 0.25, 1 and 4: E||X|| and E gdot.
+    BANDEIRA = {1e-3: (0.811002, 1.128449), 0.25: (1.055045, 1.147603),
+                1.0: (1.365225, 1.253314), 4.0: (2.051199, 1.932566)}
+
+    def test_bandeira_oracle_values(self):
+        for delta, values in self.BANDEIRA.items():
+            assert _bandeira_oracles(delta) == pytest.approx(values, abs=5e-7), delta
+
+    @pytest.mark.parametrize("delta", list(BANDEIRA))
+    def test_norm_and_gdot_on_bandeira(self, delta):
+        p = gen_bandeira(delta)
+        norm, gdot = _bandeira_oracles(delta)
+        est = est_norm(p, 50000, self.SEED)
+        assert abs(est.mean - norm) <= 5.0 * est.stderr
+        est = est_gdot(p, 50000, self.SEED)
+        assert abs(est.mean - gdot) <= 5.0 * est.stderr
+
+    def test_exact_cor_opt_bounds_the_exact_norm_on_bandeira(self):
+        # The paper's example of why the gamma term is needed, over nine
+        # decades of delta, no Monte Carlo
+        for delta in np.logspace(-6.0, 3.0, 37).tolist():
+            p = gen_bandeira(delta)
+            norm, gdot = _bandeira_oracles(delta)
+            _, cor_opt = optimize_gamma(gdot, _rank_one_ymax_oracle(p), max_entry(p))
+            assert cor_opt >= norm, delta
 
 
 class TestReduce:
