@@ -4,11 +4,14 @@ the equivalence report that the equiv suite reads.
 
 The corpus suites draw their trials in batches of seeding._CHUNK, trial t
 being row t % _CHUNK of batch t // _CHUNK, with one keyed stream per draw
-kind and batch (seeding._batches).  Each batch is grouped by d, and the
-checks read the (k, d, d) and (k, d) stacks of each group straight from
-the batch draw: the basic and comparison suites evaluate the geometry
-kernels on them, with one stacked eigensolve for B- in the comparison
-suite, and the split suite gives each group one linalg.psd_split and one
+kind and batch (seeding._batches).  Each batch is grouped by d, with each
+draw kind's segment offsets summed once per batch (seeding._groups), and
+the checks read the (k, d, d) and (k, d) stacks of each group straight
+from the batch draw.  The basic and comparison suites evaluate the
+geometry kernels on them.  Stacks that are exactly symmetric by
+construction go to linalg's unvalidated cores: the comparison suite's to
+linalg._bminus, one stacked eigensolve for B-, and the split suite's to
+linalg._split, each group then checked by one
 linalg.split_invariant_violations call.  Each value keeps the bits of the
 per-trial public call on basic_corpus, the per-trial view of the draw.
 Each suite reports in one pass: it takes each batch's failure records in
@@ -31,7 +34,7 @@ from .seeding import (
     PROFILE_TAG,
     SCALE_TAG,
     _batches,
-    _segments,
+    _groups,
 )
 
 RATIO_ENVELOPE = 10.0
@@ -63,27 +66,20 @@ def _basic_batches(trials: int, seed: int):
         t = np.array(ts)
         ds = stream(DIM_TAG).integers(2, 17, size=len(ts))
         entries, pairs = ds * ds, 2 * ds
-        normals = stream(PROFILE_TAG).standard_normal(entries.sum())
-        uniforms = stream(DENSITY_TAG).random(entries.sum())
-        vw = stream(PAIR_TAG).standard_normal(pairs.sum())
         density = np.array([1.0, 0.6, 0.3])[t // 3 % 3]
         gamma = np.array([0.1, 1.0, 10.0])[t % 3]
+        # |N| entries where the density uniform is below the trial's density;
+        # uniforms are below 1, so a trial of density 1 keeps every entry.
+        kept = np.abs(stream(PROFILE_TAG).standard_normal(entries.sum()))
+        kept *= stream(DENSITY_TAG).random(entries.sum()) < np.repeat(density, entries)
+        vw = stream(PAIR_TAG).standard_normal(pairs.sum())
         groups = []
-        for d, rows in _rows_by_d(ds):
-            b = np.abs(_segments(normals, entries, rows)).reshape(-1, d, d)
-            # Uniforms are below 1, so a trial of density 1 keeps every entry.
-            b *= _segments(uniforms, entries, rows).reshape(-1, d, d) < density[rows, None, None]
+        for d, rows, at, pair_at in _groups(ds, entries, pairs):
+            b = kept[at].reshape(-1, d, d)
             b = np.where(_upper_mask(d), b, b.swapaxes(-1, -2))
-            v, w = _segments(vw, pairs, rows).reshape(-1, 2, d).transpose(1, 0, 2)
+            v, w = vw[pair_at].reshape(-1, 2, d).transpose(1, 0, 2)
             groups.append((d, rows, b, v, w, gamma[rows]))
         yield ts, groups
-
-
-def _rows_by_d(ds: np.ndarray):
-    # (d, the rows k with ds[k] == d) for each d in ds, in increasing d.
-    # Not np.unique, which imports numpy.ma: 1.4 MiB more peak memory.
-    for d in sorted(set(ds.tolist())):
-        yield d, np.flatnonzero(ds == d)
 
 
 def _corpus_check(trials: int, seed: int, test, margin_key: str) -> tuple[list, dict]:
@@ -146,11 +142,13 @@ def split(trials: int, seed: int) -> tuple[list, dict]:
         scales = np.array([0.01, 1.0, 100.0])[stream(SCALE_TAG).integers(0, 3, size=len(ts))]
         entries = ds * ds
         normals = stream(MATRIX_TAG).standard_normal(entries.sum())
+        normals *= np.repeat(scales, entries)
         problems = [None] * len(ts)
-        for d, rows in _rows_by_d(ds):
-            a = _segments(normals, entries, rows).reshape(-1, d, d) * scales[rows, None, None]
+        for d, rows, at in _groups(ds, entries):
+            a = normals[at].reshape(-1, d, d)
+            # exactly symmetric, so it needs none of psd_split's validation
             stack = (a + a.swapaxes(-1, -2)) / 2.0
-            found = linalg.split_invariant_violations(stack, linalg.psd_split(stack))
+            found = linalg.split_invariant_violations(stack, linalg._split(stack))
             for k, matrix_problems in zip(rows.tolist(), found):
                 problems[k] = matrix_problems
         failures += [{"trial": t, "d": d, "problems": matrix_problems}

@@ -18,6 +18,17 @@ import numpy as np
 CLIP_REL = 1e-12
 
 
+# The SpectralSplit contracts in the order they are reported, and the
+# coefficient of each one's limit: a residual fails above coefficient * base,
+# a min eigenvalue below it, and unsorted eigenvalues (reported without a
+# value) above 0.  The base is 1 + ||B||_F, but d for orthonormality and
+# 1 + ||B||_F^2 for bplus @ bminus.
+_INVARIANTS = ("eigendecomposition residual", "eigenvector orthonormality residual",
+               "eigenvalues not descending", "bplus - bminus residual", "bplus @ bminus residual",
+               "bplus min eigenvalue", "bminus min eigenvalue", "factor residual")
+_LIMITS = np.array([[1e-10], [1e-10], [0.0], [1e-10], [1e-8], [-1e-10], [-1e-10], [1e-8]])
+
+
 @dataclass(frozen=True)
 class SpectralSplit:
     """Eigendecomposition of a symmetric B with its PSD parts.
@@ -53,18 +64,10 @@ def psd_split(b: np.ndarray) -> SpectralSplit:
 
     One matrix is the k = 1 case: LAPACK and the matmuls run per matrix, so
     matrix i of a stack gets the bits of psd_split(b[i]), apart from the
-    zero columns of its factor_l.  Symmetry, finiteness and the clip of
-    the factor are judged per matrix, on the matrix's own scale.
-    """
-    b = _as_symmetric(b, stack=True)
-    eigenvalues, eigenvectors = _descending_eigh(b)
-    return SpectralSplit(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        bplus=_spectral_part(eigenvalues, eigenvectors, 1.0),
-        bminus=_spectral_part(eigenvalues, eigenvectors, -1.0),
-        factor_l=_clipped_factor(b, eigenvalues, eigenvectors),
-    )
+    zero columns of its factor_l.  It validates b and hands it to _split;
+    symmetry, finiteness and the clip of the factor are judged per matrix,
+    on the matrix's own scale."""
+    return _split(_as_symmetric(b, stack=True))
 
 
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
@@ -89,45 +92,54 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
 def split_invariant_violations(b: np.ndarray, split: SpectralSplit) -> list:
     """Check every SpectralSplit contract on one input; returns violation
     descriptions (empty means the split is sound).  For a (k, d, d) stack
-    and its split, returns the k lists of matrix i's violations, from
-    stacked products and one stacked eigvalsh over bplus and bminus; one
-    matrix is the k = 1 case.  Every threshold scales with the matrix's
-    own Frobenius norm."""
+    and its split, returns the k lists of matrix i's violations; one matrix
+    is the k = 1 case.  One stacked pass serves every matrix: the five
+    residual matrices share one buffer and one Frobenius call, one
+    eigvalsh takes bplus and bminus, and the eight flags form one array.
+    Every threshold scales with the matrix's own Frobenius norm."""
     b = np.asarray(b, dtype=np.float64)
     values, vectors = split.eigenvalues, split.eigenvectors
     bplus, bminus, factor_l = split.bplus, split.bminus, split.factor_l
-    d = b.shape[-1]
-    fro = _fro(b)
-    smallest = np.min(np.linalg.eigvalsh(np.stack([bplus, bminus])), axis=-1)
-    recon = _fro(b - (vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2))
-    ortho = _fro(vectors.swapaxes(-1, -2) @ vectors - np.eye(d))
-    parts = _fro(b - (bplus - bminus))
-    cross = _fro(bplus @ bminus)
-    factor = _fro(factor_l @ factor_l.swapaxes(-1, -2) - bminus)
-    # (description, value or None, failing), in the order they are reported
-    invariants = (
-        ("eigendecomposition residual", recon, recon > 1e-10 * (1.0 + fro)),
-        ("eigenvector orthonormality residual", ortho, ortho > 1e-10 * d),
-        ("eigenvalues not descending", None, (values[..., 1:] > values[..., :-1]).any(axis=-1)),
-        ("bplus - bminus residual", parts, parts > 1e-10 * (1.0 + fro)),
-        ("bplus @ bminus residual", cross, cross > 1e-8 * (1.0 + fro ** 2)),
-        ("bplus min eigenvalue", smallest[0], smallest[0] < -1e-10 * (1.0 + fro)),
-        ("bminus min eigenvalue", smallest[1], smallest[1] < -1e-10 * (1.0 + fro)),
-        ("factor residual", factor, factor > 1e-8 * (1.0 + fro)),
-    )
-    flags = np.reshape([failing for *_, failing in invariants], (len(invariants), -1))
+    d, vectors_t = b.shape[-1], vectors.swapaxes(-1, -2)
+    # the residuals of the eigendecomposition, orthonormality, bplus - bminus,
+    # bplus @ bminus and the factor, then b, bplus and bminus
+    buffer = np.empty((8, *b.shape))
+    buffer[0] = b - (vectors * values[..., None, :]) @ vectors_t
+    np.matmul(vectors_t, vectors, out=buffer[1])
+    buffer[1].reshape(-1, d * d)[:, ::d + 1] -= 1.0  # minus the identity
+    buffer[2] = b - (bplus - bminus)
+    np.matmul(bplus, bminus, out=buffer[3])
+    buffer[4] = factor_l @ factor_l.swapaxes(-1, -2) - bminus
+    buffer[5], buffer[6], buffer[7] = b, bplus, bminus
+    norms = _fro(buffer[:6])
+    smallest = np.minimum.reduce(np.linalg.eigvalsh(buffer[6:]), axis=-1)
+    unsorted = np.logical_or.reduce(values[..., 1:] > values[..., :-1], axis=-1)
+    # row j: invariant j's measured values and the bases of their limits
+    measured = np.concatenate((norms[:2], unsorted[None], norms[2:4], smallest, norms[4:5]))
+    measured = measured.reshape(len(_INVARIANTS), -1)
+    bases = np.empty_like(measured)
+    bases[:] = 1.0 + norms[5]
+    bases[1], bases[4] = d, 1.0 + norms[5] ** 2
+    limits = _LIMITS * bases
+    flags = np.where(_LIMITS < 0.0, measured < limits, measured > limits)
     problems = [[] for _ in range(flags.shape[1])]
-    for j, i in zip(*np.nonzero(flags)):  # matrix i's violations in the order above
-        name, value, _ = invariants[j]
-        problems[i].append(name if value is None else f"{name} {np.ravel(value)[i]:.3e}")
+    for j, i in zip(*np.nonzero(flags)):  # matrix i's violations in report order
+        name = _INVARIANTS[j]
+        problems[i].append(f"{name} {measured[j, i]:.3e}" if _LIMITS[j, 0] else name)
     return problems if b.ndim == 3 else problems[0]
 
 
+def _split(b: np.ndarray) -> SpectralSplit:
+    # psd_split of a matrix or stack that is exactly symmetric by
+    # construction, unvalidated; bplus and bminus come from one product.
+    values, vectors = _descending_eigh(b)
+    return SpectralSplit(values, vectors, *_spectral_part(values, vectors, (1.0, -1.0)),
+                         _clipped_factor(b, values, vectors))
+
+
 def _bminus(b: np.ndarray) -> np.ndarray:
-    # psd_split(b[i]).bminus for each matrix of a (k, d, d) stack that is
-    # exactly symmetric by construction, from one stacked eigensolve; LAPACK
-    # and the matmul run per matrix, so each result keeps the bits of the
-    # one-matrix call.
+    # _split(b).bminus alone, for a stack that is exactly symmetric by
+    # construction: the bits of psd_split(b[i]).bminus for each matrix i.
     return _spectral_part(*_descending_eigh(b), -1.0)
 
 
@@ -153,10 +165,10 @@ def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[..., ::-1].copy(), eigenvectors[..., ::-1].copy()
 
 
-def _spectral_part(eigenvalues: np.ndarray, eigenvectors: np.ndarray, sign: float) -> np.ndarray:
+def _spectral_part(eigenvalues: np.ndarray, eigenvectors: np.ndarray, sign) -> np.ndarray:
     # B+ (sign 1) or B- (sign -1): V diag(max(sign * lambda, 0)) V^T, for one
-    # matrix or a stack
-    weights = np.maximum(sign * eigenvalues, 0.0)
+    # matrix or a stack; signs (1, -1) give both, stacked on a new first axis
+    weights = np.maximum(np.multiply.outer(sign, eigenvalues), 0.0)
     return (eigenvectors * weights[..., None, :]) @ eigenvectors.swapaxes(-1, -2)
 
 
@@ -174,11 +186,7 @@ def _as_symmetric(a: np.ndarray, stack: bool = False) -> np.ndarray:
     asym = np.abs(a - a.swapaxes(-1, -2))
     # Every matrix's tolerance is at least 1e-12, so the per-matrix scales,
     # slow to reduce over small matrices, are needed only past it.
-    if asym.max() > 1e-12 and np.any(_each_max(asym) > 1e-12 * (1.0 + _each_max(np.abs(a)))):
+    axes = (-2, -1)  # those of each matrix
+    if asym.max() > 1e-12 and np.any(asym.max(axes) > 1e-12 * (1.0 + np.abs(a).max(axes))):
         raise ValueError("matrix is not symmetric")
     return a
-
-
-def _each_max(a: np.ndarray) -> np.ndarray:
-    # the largest entry of a matrix, or of each matrix of a stack
-    return a.reshape(*a.shape[:-2], -1).max(axis=-1)

@@ -57,9 +57,13 @@ def _batches(trials: int, seed: int):
                lambda tag, batch=batch: RandomStream(seed, tag, batch).generator())
 
 
-def _segments(values: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The segments of the batch rows ``rows``, which share one size n, as a
-    (len(rows), n) stack: ``values`` holds every row's segment in row order,
-    sizes[k] values for row k."""
-    starts = np.cumsum(sizes) - sizes
-    return values[starts[rows, None] + np.arange(sizes[rows[0]])]
+def _groups(ds: np.ndarray, *sizes: np.ndarray):
+    """(d, rows, *index) for each d of the batch rows' dimensions ds, in
+    increasing d: the rows of that d and, per draw kind whose row k holds
+    sizes[k] values in row order, their (len(rows), n) positions.  Offsets
+    are summed once per batch.  Not np.unique: it imports numpy.ma (1.4 MiB)."""
+    starts = [np.cumsum(size) - size for size in sizes]
+    for d in sorted(set(ds.tolist())):
+        rows = (ds == d).nonzero()[0]
+        yield d, rows, *(start[rows, None] + np.arange(size[rows[0]])
+                         for start, size in zip(starts, sizes))

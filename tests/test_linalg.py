@@ -18,6 +18,18 @@ from specbounds.linalg import (
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
+# Each corruption of a split field, with the invariant it breaks.
+CORRUPTIONS = [
+    ("eigenvalues", lambda s: s.eigenvalues + 1.0, "eigendecomposition residual"),
+    ("eigenvectors", lambda s: 2.0 * s.eigenvectors, "eigenvector orthonormality residual"),
+    ("eigenvalues", lambda s: s.eigenvalues[::-1], "eigenvalues not descending"),
+    ("bplus", lambda s: s.bplus + np.eye(12), "bplus - bminus residual"),
+    ("bminus", lambda s: s.bminus + s.bplus, "bplus @ bminus residual"),
+    ("bplus", lambda s: s.bplus - np.eye(12), "bplus min eigenvalue"),
+    ("bminus", lambda s: s.bminus - np.eye(12), "bminus min eigenvalue"),
+    ("factor_l", lambda s: 2.0 * s.factor_l, "factor residual"),
+]
+
 
 class TestSymEig:
     def test_flip_matrix(self):
@@ -98,16 +110,7 @@ class TestPsdSplit:
             split.factor_l @ split.factor_l.T, split.bminus, atol=1e-10
         )
 
-    @pytest.mark.parametrize("field, corrupt, message", [
-        ("eigenvalues", lambda s: s.eigenvalues + 1.0, "eigendecomposition residual"),
-        ("eigenvectors", lambda s: 2.0 * s.eigenvectors, "eigenvector orthonormality residual"),
-        ("eigenvalues", lambda s: s.eigenvalues[::-1], "eigenvalues not descending"),
-        ("bplus", lambda s: s.bplus + np.eye(12), "bplus - bminus residual"),
-        ("bminus", lambda s: s.bminus + s.bplus, "bplus @ bminus residual"),
-        ("bplus", lambda s: s.bplus - np.eye(12), "bplus min eigenvalue"),
-        ("bminus", lambda s: s.bminus - np.eye(12), "bminus min eigenvalue"),
-        ("factor_l", lambda s: 2.0 * s.factor_l, "factor residual"),
-    ])
+    @pytest.mark.parametrize("field, corrupt, message", CORRUPTIONS)
     def test_violations_name_the_broken_invariant(self, field, corrupt, message):
         # an indefinite input, so both parts and the factor are nonzero
         a = random_symmetric(12, seed=5)
@@ -115,6 +118,28 @@ class TestPsdSplit:
         broken = dataclasses.replace(split, **{field: corrupt(split)})
         problems = split_invariant_violations(a, broken)
         assert any(problem.startswith(message) for problem in problems), problems
+
+    @pytest.mark.parametrize("scales", [(0.01, 1.0, 100.0), (100.0, 0.01, 1.0), (1.0, 100.0, 0.01)])
+    @pytest.mark.parametrize("field, corrupt, message", CORRUPTIONS)
+    def test_stacked_violations_equal_the_matrix_calls(self, field, corrupt, message, scales):
+        # Matrix 1 of a stack is broken, at each of the three scales: the
+        # stacked call must report, string for string, what the 2-D call on
+        # each matrix and its own split fields reports.
+        stack = np.array([random_symmetric(12, seed=5 + i, scale=s) for i, s in enumerate(scales)])
+        split = psd_split(stack)
+        names = [f.name for f in dataclasses.fields(split)]
+
+        def matrices(s, rows):
+            return linalg.SpectralSplit(**{name: getattr(s, name)[rows] for name in names})
+
+        value = getattr(split, field).copy()
+        value[1] = corrupt(matrices(split, 1))
+        broken = dataclasses.replace(split, **{field: value})
+        expected = [split_invariant_violations(a, matrices(broken, i)) for i, a in enumerate(stack)]
+        assert expected[0] == expected[2] == []
+        assert any(problem.startswith(message) for problem in expected[1]), expected
+        assert split_invariant_violations(stack, broken) == expected
+        assert split_invariant_violations(stack[1:2], matrices(broken, slice(1, 2))) == [expected[1]]
 
 
 class TestSpectralNorm:

@@ -879,6 +879,23 @@ class TestExactOracles:
             _, cor_opt = optimize_gamma(gdot, _rank_one_ymax_oracle(p), max_entry(p))
             assert cor_opt >= norm, delta
 
+    @pytest.mark.parametrize("delta", list(BANDEIRA))
+    def test_explicit_bounds_on_bandeira(self, delta):
+        # With max b = max(sqrt(delta), 1), thm41 at gamma = 1 is 2G + Y +
+        # 2 max b and cor_opt is 2 sqrt(G (G + Y)) + 2 max b, at the exact G
+        # and rank-one Y; the stderr weights are those of the perfect matching.
+        p = gen_bandeira(delta)
+        report = compute_bound_report(p, replicates=50000, seed=self.SEED)
+        _, g = _bandeira_oracles(delta)
+        y, bmax = _rank_one_ymax_oracle(p), max(math.sqrt(delta), 1.0)
+        root = math.sqrt(g * (g + y))
+        exact = {"thm41": (2.0 * g + y + 2.0 * bmax, 2.0, 1.0),
+                 "cor_opt": (optimize_gamma(g, y, bmax)[1], (2.0 * g + y) / root, g / root)}
+        s_g, s_y = (report["mc"][q]["stderr"] for q in ("gdot", "ymax"))
+        for bound, (value, w_g, w_y) in exact.items():
+            stderr = math.hypot(w_g * s_g, w_y * s_y)
+            assert abs(report["bounds"][bound] - value) <= 5.0 * stderr, bound
+
 
 class TestReduce:
     # _reduce copies np.mean and np.std(ddof=1) op for op; the lengths sit on
