@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _check_vector
-from .linalg import _clipped_factor, spectral_norm, sym_eig
+from .linalg import _clipped_factor, _descending_eigh, _spectral_norms
 from .profile import StdDevProfile, support_blocks
 from .seeding import GDOT_TAG, X_TAG, YMAX_TAG, RandomStream
 
@@ -186,10 +186,9 @@ def est_entrymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
 
 def block_norms(stacks: list[np.ndarray]) -> np.ndarray:
     """||X|| for each of the k draws of an x_blocks item: the largest norm
-    among X's diagonal blocks, with one stacked eigensolve per block size."""
-    # spectral_norm is looked up at call time, so a wrapper installed on
-    # this module sees every eigensolve.
-    return blockwise_max(spectral_norm, stacks)
+    among X's diagonal blocks, with one stacked eigensolve per block size.
+    The mirrored blocks of a valid profile skip spectral_norm's checks."""
+    return blockwise_max(_spectral_norms, stacks)
 
 
 def _x_values(quantity: str, stacks, blocks, d: int) -> np.ndarray:
@@ -233,13 +232,13 @@ def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
 def est_ymax(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:
     """E max_i Y_i for Y ~ N(0, B^-), sampled as Y = L g with L the factor
     of linalg.psd_split(B), built from B's eigenpairs alone: B+ and B- are
-    not formed.
-
-    When B is PSD the factor is empty, Y = 0, and the estimate is exactly
-    (0, 0).
-    """
+    not formed.  When B is PSD the factor is empty, Y = 0, and the estimate
+    is exactly (0, 0); a diagonal B gives it with no eigensolve or draw."""
+    _check_replicates(replicates)
     variance = p.variance_matrix
-    factor = _clipped_factor(variance, *sym_eig(variance))
+    if np.count_nonzero(variance) == np.count_nonzero(variance.diagonal()):
+        return McEstimate("ymax", 0.0, 0.0, replicates, seed)
+    factor = _clipped_factor(variance, *_descending_eigh(variance))
     values = (np.max(g @ factor.T, axis=1)
               for g in _normal_stacks(factor.shape[1], replicates, seed, YMAX_TAG))
     return _reduce(values, replicates, seed, "ymax")

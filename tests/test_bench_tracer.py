@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import specbounds.cli  # noqa: F401  (imports every traced module)
-from specbounds import checks, cli, montecarlo, profile
+from specbounds import checks, cli, linalg, profile
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -35,17 +35,17 @@ def test_every_target_resolves_and_uninstall_restores():
     targets = tracer_module.TARGETS
     assert len(targets) == 29
     originals = [_traced_callable(*target) for target in targets]
-    spectral_norm = montecarlo.spectral_norm
+    spectral_norm = linalg.spectral_norm
     init = profile.StdDevProfile.__init__
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
         for target, original in zip(targets, originals):
             assert _traced_callable(*target).__wrapped__ is original, target
-        assert montecarlo.spectral_norm.__wrapped__ is spectral_norm
+        assert linalg.spectral_norm.__wrapped__ is spectral_norm
     finally:
         tracer.uninstall()
-    assert montecarlo.spectral_norm is spectral_norm
+    assert linalg.spectral_norm is spectral_norm
     assert profile.StdDevProfile.__init__ is init
     assert [_traced_callable(*target) for target in targets] == originals
 

@@ -284,3 +284,17 @@ class TestSymmetryCheck:
         for fn in (spectral_norm, sym_eig, psd_split):
             with pytest.raises(ValueError, match="finite"):
                 fn(np.array(a))
+
+    @pytest.mark.parametrize("a, message", [
+        ([[1.0, 2.0], [0.0, 1.0]], "matrix is not symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "matrix entries must be finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+    ])
+    def test_public_functions_validate_with_their_messages(self, a, message):
+        # the cores behind them trust their input; these entry points do not
+        for fn in (spectral_norm, sym_eig, psd_split):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(np.array(a))
+        for fn in (spectral_norm, psd_split):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(np.stack([np.eye(2), np.array(a)]))

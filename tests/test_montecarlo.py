@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import dense_blocks, dense_x_stacks
 
-from specbounds import cli, montecarlo
+from specbounds import cli, linalg, montecarlo
 from specbounds.bounds import compute_bound_report, optimize_gamma
 from specbounds.checks import EQUIV_QUANTITIES, equivalence_report
 from specbounds.generators import (
@@ -20,9 +20,10 @@ from specbounds.generators import (
     random_profile,
 )
 from specbounds.geometry import simplex_sup
-from specbounds.linalg import psd_split, spectral_norm
+from specbounds.linalg import _clipped_factor, psd_split, spectral_norm, sym_eig
 from specbounds.montecarlo import (
     GDOT_TAG,
+    PROFILE_QUANTITIES,
     X_TAG,
     YMAX_TAG,
     McEstimate,
@@ -39,7 +40,8 @@ from specbounds.montecarlo import (
     sample_X,
     x_blocks,
 )
-from specbounds.profile import StdDevProfile, max_entry, support_blocks
+from specbounds.profile import StdDevProfile, max_entry, rearrange, support_blocks
+from specbounds.slicing import verify_slice_inequality
 
 ZERO4 = StdDevProfile(4, np.zeros((4, 4)))
 
@@ -534,13 +536,40 @@ class TestBlockContract:
                 assert not np.array_equal(draws[a], draws[b])
 
 
+# erf(x) is exactly 1.0 in double precision from x = 5.9215871957945 on.
+ERF_IS_ONE = 6.0
+
+
 def _diagonal_norm_oracle(diag, intervals=2000):
     """E max_i b_i |g_i| = int_0^inf (1 - prod_i erf(t / (b_i sqrt 2))) dt
     by composite Simpson on [0, 12 max b_i], past which each factor is 1
-    to double precision."""
+    to double precision.  Each product runs over the distinct b_i in the
+    order they first appear, and two shortcuts keep its bits: a factor
+    with t / (b_i sqrt 2) >= ERF_IS_ONE is exactly 1 and is skipped, and
+    once 1 - prod rounds to 1 no further factor (each <= 1) can move it."""
     counts = Counter(float(b) for b in diag if b > 0.0)
+    values, powers = np.array(list(counts)), np.array(list(counts.values()))
     top = 12.0 * max(counts)
     h = top / intervals
+
+    def tail(t):
+        keep = values * (ERF_IS_ONE * math.sqrt(2.0)) > t
+        args = (t / (values[keep] * math.sqrt(2.0))).tolist()
+        prod = 1.0
+        for factor in map(pow, map(math.erf, args), powers[keep].tolist()):
+            prod *= factor
+            if 1.0 - prod == 1.0:
+                break
+        return 1.0 - prod
+
+    weights = [1.0] + [4.0 if k % 2 else 2.0 for k in range(1, intervals)] + [1.0]
+    return h / 3.0 * sum(wk * tail(k * h) for k, wk in enumerate(weights))
+
+
+def _plain_norm_oracle(diag, intervals=2000):
+    # _diagonal_norm_oracle with every factor multiplied in
+    counts = Counter(float(b) for b in diag if b > 0.0)
+    h = 12.0 * max(counts) / intervals
 
     def tail(t):
         prod = 1.0
@@ -559,6 +588,16 @@ class TestDiagonalOracle:
     def test_oracle_half_normal(self):
         assert _diagonal_norm_oracle([1.0]) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-10)
 
+    def test_erf_is_one_past_the_cutoff(self):
+        assert all(math.erf(x) == 1.0 for x in np.linspace(ERF_IS_ONE, 40.0, 4001).tolist())
+
+    @pytest.mark.parametrize("spec", ["wigner:d=16", "diagonal_decay:d=64", "band:d=16,w=3",
+                                      "kronecker_flip:d=64", "bandeira:delta=0.25"])
+    def test_shortcuts_keep_every_bit(self, spec):
+        p = parse_family_spec(spec)
+        low = p.b[np.tril_indices(p.d)]
+        assert _diagonal_norm_oracle(low) == _plain_norm_oracle(low)
+
     def test_x_estimators_on_diagonal_decay(self):
         p = gen_diagonal_decay(256)
         oracle = _diagonal_norm_oracle(np.diag(p.b))
@@ -574,14 +613,15 @@ class TestDiagonalOracle:
 
 
 def _record_spectral_norm_shapes(monkeypatch):
+    # the shape of each stack that block_norms hands to the eigensolve
     shapes = []
-    original = montecarlo.spectral_norm
+    original = montecarlo._spectral_norms
 
     def counting(a):
         shapes.append(np.shape(a))
         return original(a)
 
-    monkeypatch.setattr(montecarlo, "spectral_norm", counting)
+    monkeypatch.setattr(montecarlo, "_spectral_norms", counting)
     return shapes
 
 
@@ -678,6 +718,12 @@ class TestBlockPathMatchesDense:
         assert (len(stacks) == 1 and stacks[0].shape[1:] == (1, p.d, p.d)) == dense
 
 
+# Each generator family at several d, with the two bandeira profiles.
+FAMILY_SPECS = [spec.format(d=d) for d in (6, 64, 256) for spec in (
+    "wigner:d={d}", "band:d={d},w=3", "diagonal_decay:d={d}", "diagonal_unit:d={d}",
+    "sparse_random:d={d}", "kronecker_flip:d={d}")] + ["bandeira:delta=0.25", "bandeira:delta=4"]
+
+
 class TestXBlocks:
     SEED = 808
     SPECS = ["wigner:d=16", "band:d=16,w=3", "diagonal_decay:d=16", "block_diagonal",
@@ -695,6 +741,100 @@ class TestXBlocks:
             assert isinstance(item, list) and len(item) == len(blocks)
             assert [stack.shape for stack in item] == [(rows, *idx.shape, idx.shape[1])
                                                       for idx in blocks]
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_every_stack_is_exactly_symmetric_and_finite(self, spec):
+        # block_norms hands these stacks to the eigensolve unvalidated, for
+        # the profile and for its rearrangement (verify_slice_inequality)
+        p = parse_family_spec(spec)
+        for q in (p, rearrange(p)):
+            for item in x_blocks(q, support_blocks(q), 3, self.SEED):
+                for stack in item:
+                    assert np.isfinite(stack).all()
+                    assert np.array_equal(stack, stack.swapaxes(-1, -2))
+
+    def test_largest_valid_profile_gives_finite_stacks(self):
+        # entries just inside the sum_ij b_ij^4 guard
+        d = 8
+        p = StdDevProfile(d, np.full((d, d), 0.99 * (np.finfo(float).max / (2 * d * d)) ** 0.25))
+        for item in x_blocks(p, support_blocks(p), 50, self.SEED):
+            assert all(np.isfinite(stack).all() for stack in item)
+            assert np.isfinite(block_norms(item)).all()
+
+
+class TestValidatedWhereDataEnters:
+    # The estimators draw their X blocks and square their B from a profile
+    # that was checked when it was made, so no eigensolve of theirs runs
+    # the symmetry and finiteness check again.
+    SPECS = ["wigner:d=16", "diagonal_decay:d=64", "kronecker_flip:d=16", "band:d=40,w=3",
+             "bandeira:delta=0.25", "sparse_random:d=48,density=0.05,seed=9", "block_diagonal"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_no_symmetry_check_inside_the_estimators(self, monkeypatch, spec,
+                                                     block_diagonal_profile):
+        p = block_diagonal_profile if spec == "block_diagonal" else parse_family_spec(spec)
+        checked = []
+        original = linalg._as_symmetric
+        monkeypatch.setattr(linalg, "_as_symmetric",
+                            lambda a, stack=False: checked.append(np.shape(a)) or original(a, stack))
+        estimate(p, PROFILE_QUANTITIES, 20, 3)
+        verify_slice_inequality(p, 5, 3)
+        compute_bound_report(p, replicates=20, seed=3)
+        assert checked == []
+        spectral_norm(p.b)  # the public entry point still checks
+        assert checked == [p.b.shape]
+
+
+def _ymax_reference(p, replicates, seed):
+    # est_ymax on the validated eigensolve of every B, diagonal or not
+    variance = p.variance_matrix
+    factor = _clipped_factor(variance, *sym_eig(variance))
+    values = (np.max(g @ factor.T, axis=1) for g in
+              montecarlo._normal_stacks(factor.shape[1], replicates, seed, YMAX_TAG))
+    return montecarlo._reduce(values, replicates, seed, "ymax")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no eigensolve or draw was expected")
+
+
+class TestDiagonalYmax:
+    # A diagonal B = b^2 is PSD, so B^- = 0 and Y = 0 on every replicate.
+    DIAGONAL = {"diagonal_decay:d=256": gen_diagonal_decay(256),
+                "diagonal_unit:d=64": gen_diagonal_unit(64),
+                "zero": StdDevProfile(8, np.zeros((8, 8))),
+                "zero_rows": StdDevProfile(6, np.diag([1.0, 0.0, 2.5, 0.0, 0.0, 1e-3])),
+                "underflowing_off_diagonal": StdDevProfile(3, np.array(
+                    [[1.0, 1e-200, 0.0], [1e-200, 2.0, 0.0], [0.0, 0.0, 0.5]]))}
+
+    @pytest.mark.parametrize("name", list(DIAGONAL))
+    def test_zero_without_an_eigensolve_or_a_draw(self, monkeypatch, name):
+        for module, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (montecarlo, "_normal_stacks"), (montecarlo, "RandomStream")):
+            monkeypatch.setattr(module, attr, _refuse)
+        est = est_ymax(self.DIAGONAL[name], 50, 7)
+        assert repr(est.to_dict()) == repr(
+            {"quantity": "ymax", "mean": 0.0, "stderr": 0.0, "replicates": 50, "seed": 7})
+
+    @pytest.mark.parametrize("name", list(DIAGONAL))
+    def test_equal_to_the_eigensolve_path(self, name):
+        p = self.DIAGONAL[name]
+        assert repr(est_ymax(p, 50, 7).to_dict()) == repr(_ymax_reference(p, 50, 7).to_dict())
+
+    @pytest.mark.parametrize("spec", ["wigner:d=16", "kronecker_flip:d=16", "band:d=40,w=3",
+                                      "bandeira:delta=0.25", "sparse_random:d=64,seed=2"])
+    def test_connected_profiles_keep_their_bits(self, spec):
+        # B is not diagonal: the unvalidated eigensolve gives the bits of sym_eig
+        p = parse_family_spec(spec)
+        assert est_ymax(p, 300, 7).to_dict() == _ymax_reference(p, 300, 7).to_dict()
+
+    @pytest.mark.parametrize("name", ["zero", "diagonal_unit:d=64"])
+    def test_one_replicate_raises_before_any_work(self, monkeypatch, name):
+        p = self.DIAGONAL[name]
+        monkeypatch.setattr(StdDevProfile, "variance_matrix", property(_refuse))
+        monkeypatch.setattr(montecarlo, "_normal_stacks", _refuse)
+        with pytest.raises(ValueError, match="replicates must be >= 2, got 1"):
+            est_ymax(p, 1, 7)
 
 
 def _two_by_two_norm_oracle(p, intervals=2000):
@@ -764,6 +904,19 @@ class TestExactOracles:
     def test_entrymax_oracle_matches_diagonal_oracle(self):
         p = gen_diagonal_decay(16)
         assert _entrymax_oracle(p) == _diagonal_norm_oracle(np.diag(p.b))
+
+    # X_ij, i >= j, are independent, so the entrymax oracle holds on every
+    # profile and checks the x_blocks gather of each family and d.  Seed 31
+    # and R = 2000 were fixed before the first run.
+    ENTRYMAX_PROBES = [spec.format(d=d) for d in (16, 64, 256) for spec in (
+        "wigner:d={d}", "band:d={d},w=3", "diagonal_decay:d={d}", "sparse_random:d={d}",
+        "kronecker_flip:d={d}")] + ["bandeira:delta=0.25", "bandeira:delta=4"]
+
+    @pytest.mark.parametrize("spec", ENTRYMAX_PROBES)
+    def test_entrymax_on_every_family(self, spec):
+        p = parse_family_spec(spec)
+        est = est_entrymax(p, 2000, 31)
+        assert abs(est.mean - _entrymax_oracle(p)) <= 5.0 * est.stderr
 
     @pytest.mark.parametrize("spec", ["band:d=128,w=5",
                                       "sparse_random:d=64,density=0.3,seed=2"])

@@ -160,7 +160,7 @@ class TestVerifySliceInequality:
         # triangular and slice norms are singular values of 1 x 1 blocks
         replicates = 5
         eig_shapes, svd_shapes = [], []
-        for module, name, shapes in ((montecarlo, "spectral_norm", eig_shapes),
+        for module, name, shapes in ((montecarlo, "_spectral_norms", eig_shapes),
                                      (slicing, "operator_norm", svd_shapes)):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda a, f=original, s=shapes:
