@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import bounds, checks, geometry, montecarlo
 from .checks import basic_corpus  # noqa: F401  (re-exported: read as cli.basic_corpus)
@@ -84,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--check", required=True, choices=list(_VERIFY_CHECKS))
     pv.add_argument("--trials", type=_int_at_least(1), default=10000)
     pv.add_argument("--seed", type=_int_at_least(0), default=0)
-    pv.add_argument("--tol", type=_finite_float(), default=1e-9)
+    # Every scaled margin of basic and comparison lies in (-1, 1), so a slack
+    # >= 1 can fail no trial.
+    pv.add_argument("--tol", type=_finite_float(below=1), default=1e-9)
     pv.add_argument("--family", action="append", default=None,
                     help="family spec(s) for the slice/equiv checks")
     pv.add_argument("--replicates", type=_int_at_least(1), default=50)
@@ -154,12 +155,14 @@ def _int_at_least(low: int):
     return integer
 
 
-def _finite_float(positive: bool = False):
-    # A finite number > 0 if positive, else a finite number >= 0.
+def _finite_float(positive: bool = False, below: float = math.inf):
+    # A finite number > 0 if positive, else >= 0, and < below.
+    kind = f"a finite number {'>' if positive else '>='} 0" + (
+        f" and < {below:g}" if below < math.inf else "")
+
     def number(text: str) -> float:
         value = float(text)
-        if not np.isfinite(value) or value < 0 or (positive and value == 0):
-            kind = "a finite number > 0" if positive else "a finite number >= 0"
+        if not 0 <= value < below or (positive and value == 0):  # NaN fails 0 <= value
             raise argparse.ArgumentTypeError(f"expected {kind}, got {text}")
         return value
     return number

@@ -24,15 +24,18 @@ Block rule: X_ij = 0 wherever b_ij = 0, so X is block-diagonal over the
 connected components of the profile's support (profile.support_blocks).
 estimate draws X through x_blocks: each stream block still draws all
 d(d+1)/2 normals, which are gathered straight into one (k, m, s, s) stack
-per block size, and ||X||, the largest row norm and the largest entry are
-the largest of their values over the blocks; ||X|| takes one stacked
-eigensolve per block size (block_norms).  Every profile takes this one
-path: a connected profile is one block, X itself, gathered as a (k, 1,
-d, d) stack and solved in one stacked d x d eigensolve; a diagonal one
-is d 1 x 1 blocks, which return |X_ii| exactly.  On a profile with
-several components of size >= 2 the block eigensolves may differ from a
-whole-matrix eigensolve in the last bits; rowmax and entrymax keep the
-bits of the dense X.  est_distance_sq is a linear form in the same normals.
+per block size, and each X quantity of a draw is the largest over its
+blocks of one per-block reduction (blockwise_max): the block's spectral
+norm, with one stacked eigensolve per block size (block_norms), the square
+root of its largest row sum of squares, and its largest |entry|.  Every
+profile takes this one path: a connected profile is one block, X itself,
+gathered as a (k, 1, d, d) stack; a diagonal one is d 1 x 1 blocks, which
+return |X_ii| exactly.  entrymax is exact on every profile.  norm and
+rowmax keep the bits of the dense X on a connected profile and on a
+diagonal one, and rowmax also when no component has more than two indices
+(a row sum of at most two terms is one rounding in any order); elsewhere
+they may differ from the dense X in the last bits.  est_distance_sq is a
+linear form in the same normals.
 
 Standard normals come from numpy's Generator (ziggurat transform); the
 transform is fixed within a build but not promised across numpy versions.
@@ -55,6 +58,14 @@ from .seeding import GDOT_TAG, X_TAG, YMAX_TAG, RandomStream
 PROFILE_QUANTITIES = ("norm", "rowmax", "entrymax", "gdot", "ymax")
 # Profile quantities that estimate reduces from the X stacks.
 X_QUANTITIES = ("norm", "rowmax", "entrymax")
+# Each X quantity's per-block reduction, from a (j, s, s) stack of blocks
+# to its j values.  The norm core is looked up when called, as block_norms
+# looks it up, so that a test can wrap it.
+_BLOCK_VALUES = {
+    "norm": lambda s: _spectral_norms(s),
+    "rowmax": lambda s: np.sqrt(np.sum(s * s, axis=2).max(axis=1)),
+    "entrymax": lambda s: np.abs(s).max(axis=(1, 2)),
+}
 
 # Standard normals per block (256 KiB of float64).
 BLOCK_NORMALS = 32768
@@ -141,7 +152,8 @@ def blockwise_max(norm, stacks: list[np.ndarray]) -> np.ndarray:
     """The largest value of norm over the blocks of each of the k draws:
     norm maps a (j, r, c) stack to its j values, and runs once per stack of
     (k, m, r, c) blocks, on all k * m of them."""
-    return _max_per_draw(norm(s.reshape(-1, *s.shape[2:])).reshape(s.shape[:2]) for s in stacks)
+    maxima = (norm(s.reshape(-1, *s.shape[2:])).reshape(s.shape[:2]).max(axis=1) for s in stacks)
+    return functools.reduce(np.maximum, maxima)
 
 
 def estimate(
@@ -160,10 +172,9 @@ def estimate(
         raise ValueError(f"not a profile quantity: {unknown[0]!r}")
     values = {q: [] for q in quantities if q in X_QUANTITIES}
     if values:
-        blocks = support_blocks(p)
-        for stacks in x_blocks(p, blocks, replicates, seed):
+        for stacks in x_blocks(p, support_blocks(p), replicates, seed):
             for quantity, per_block in values.items():
-                per_block.append(_x_values(quantity, stacks, blocks, p.d))
+                per_block.append(blockwise_max(_BLOCK_VALUES[quantity], stacks))
     others = {"gdot": est_gdot, "ymax": est_ymax}
     return {q: others[q](p, replicates, seed) if q in others
             else _reduce(values[q], replicates, seed, q) for q in quantities}
@@ -189,36 +200,6 @@ def block_norms(stacks: list[np.ndarray]) -> np.ndarray:
     among X's diagonal blocks, with one stacked eigensolve per block size.
     The mirrored blocks of a valid profile skip spectral_norm's checks."""
     return blockwise_max(_spectral_norms, stacks)
-
-
-def _x_values(quantity: str, stacks, blocks, d: int) -> np.ndarray:
-    # One value per draw of the x_blocks item stacks.
-    if quantity == "norm":
-        return block_norms(stacks)
-    if quantity == "rowmax":
-        return np.sqrt(_max_per_draw(_row_sums_sq(stack, idx, d)
-                                     for stack, idx in zip(stacks, blocks)))
-    return _max_per_draw(np.abs(stack) for stack in stacks)
-
-
-def _row_sums_sq(stack: np.ndarray, idx: np.ndarray, d: int) -> np.ndarray:
-    # sum_j X_ij^2 for each row of a (k, m, s, s) block stack, with the bits
-    # of the row sum of the dense X: a row of one or two entries sums exactly
-    # in any order, and a longer one is summed at its places in a d-wide row
-    # of zeros, as numpy sums the dense row.
-    sq = stack * stack
-    if 2 < idx.shape[1] < d:
-        wide = np.zeros(sq.shape[:-1] + (d,))
-        np.put_along_axis(wide, np.broadcast_to(idx[:, None, :], sq.shape), sq, axis=-1)
-        sq = wide
-    return np.sum(sq, axis=-1)
-
-
-def _max_per_draw(arrays) -> np.ndarray:
-    # The largest entry of each row of every (k, ...) array, then the
-    # largest over the arrays.
-    maxima = [a.reshape(len(a), -1).max(axis=1) for a in arrays]
-    return maxima[0] if len(maxima) == 1 else np.max(maxima, axis=0)
 
 
 def est_gdot(p: StdDevProfile, replicates: int, seed: int) -> McEstimate:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_profile import csv_payloads, json_payloads
 
@@ -315,12 +315,15 @@ class TestVerifyCommand:
     def test_zero_trials_is_input_error(self, capsys, check):
         _assert_input_error(capsys, ["verify", "--check", check, "--trials", "0"])
 
-    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--tol=-1"], ["--tol=-1e-300"]])
-    def test_negative_tolerance_is_usage_error(self, capsys, flag):
-        # a negative tolerance would fail every trial, a vacuous failure
-        line = _assert_input_error(capsys, ["verify", "--check", "basic", "--trials", "5", *flag])
+    @pytest.mark.parametrize("check", ["basic", "comparison"])
+    @pytest.mark.parametrize("flag", [["--tol", "-1"], ["--tol=-1"], ["--tol=-1e-300"],
+                                      ["--tol", "1"], ["--tol=1e308"]])
+    def test_negative_tolerance_is_usage_error(self, capsys, check, flag):
+        # a negative tolerance would fail every trial, a vacuous failure; a
+        # tolerance >= 1 could fail none, as every scaled margin is in (-1, 1)
+        line = _assert_input_error(capsys, ["verify", "--check", check, "--trials", "5", *flag])
         value = flag[-1].removeprefix("--tol=")
-        assert line == f"error: argument --tol: expected a finite number >= 0, got {value}"
+        assert line == f"error: argument --tol: expected a finite number >= 0 and < 1, got {value}"
 
     def test_zero_tolerance_is_accepted(self, capsys):
         status, report = _run_json(
@@ -633,6 +636,9 @@ def _reject_constant(token):
 class TestArgvProperties:
     @settings(max_examples=200, deadline=None)
     @given(cli_argvs())
+    # a --tol near the float maximum is refused, never left to overflow the
+    # scaled slack of basic
+    @example(["verify", "--check", "basic", "--trials", "1", "--tol", "1e308"])
     def test_exit_status_and_output_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as root:

@@ -661,10 +661,20 @@ class TestBlockNorms:
         assert est["norm"].to_dict() == {**est["entrymax"].to_dict(), "quantity": "norm"}
 
 
+def _block_rowmax(parts):
+    # The square root of the largest row sum of squares over the (k, m, s, s)
+    # block stacks parts, per draw.  Each row is summed from contiguous
+    # memory, as numpy sums the rows of the x_blocks stacks; the gathers of
+    # conftest.dense_blocks are strided, and numpy sums strided rows in
+    # another order.
+    squares = [np.ascontiguousarray(part) ** 2 for part in parts]
+    return np.sqrt(np.max([np.sum(sq, axis=3).max(axis=(1, 2)) for sq in squares], axis=0))
+
+
 class TestBlockPathMatchesDense:
     # estimate reads X in its support blocks; the reference reduces the
-    # dense sample_X stacks of conftest.dense_x_stacks, with the norm from
-    # block_norms on the blocks gathered from the dense stack.
+    # dense sample_X stacks of conftest.dense_x_stacks, with the norm and
+    # rowmax from the blocks gathered from the dense stack.
     REPLICATES, SEED = 40, 11
     SPECS = ["wigner:d=64", "band:d=40,w=3", "kronecker_flip:d=16,seed=9",
              "diagonal_decay:d=256", "diagonal_unit:d=9", "block_diagonal",
@@ -676,8 +686,9 @@ class TestBlockPathMatchesDense:
         blocks = support_blocks(p)
         values = {"norm": [], "rowmax": [], "entrymax": []}
         for x in dense_x_stacks(p, self.REPLICATES, self.SEED):
-            values["norm"].append(block_norms(dense_blocks(x, blocks)))
-            values["rowmax"].append(np.sqrt(np.max(np.sum(x * x, axis=2), axis=1)))
+            parts = dense_blocks(x, blocks)
+            values["norm"].append(block_norms(parts))
+            values["rowmax"].append(_block_rowmax(parts))
             values["entrymax"].append(np.max(np.abs(x), axis=(1, 2)))
         est = estimate(p, tuple(values), self.REPLICATES, self.SEED)
         for quantity, stacks in values.items():
@@ -685,10 +696,11 @@ class TestBlockPathMatchesDense:
             assert (est[quantity].mean, est[quantity].stderr) == (
                 float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(self.REPLICATES)))
 
-    def test_rowmax_of_three_entry_rows_past_eight_columns(self):
-        # numpy sums a row of 8 or more entries pairwise, so on d = 12 the
-        # row sum over the component {0, 4, 5} is x0 + (x4 + x5) in the
-        # dense X, not (x0 + x4) + x5.  That component carries the largest
+    def test_rowmax_per_block_on_components_of_sizes_one_to_four(self):
+        # rowmax sums each block's own rows.  numpy sums a row of 8 or more
+        # entries pairwise, so on d = 12 the dense row sum over the component
+        # {0, 4, 5} is x0 + (x4 + x5), while its block sums (x0 + x4) + x5:
+        # the two agree to rounding.  That component carries the largest
         # entries, so its rows give rowmax on most draws.
         b = np.zeros((12, 12))
         for idx, size in (([0, 4, 5], 3.0), ([1, 7, 9, 11], 1.0), ([2, 3], 1.0)):
@@ -700,10 +712,13 @@ class TestBlockPathMatchesDense:
         assert sorted(idx.shape[1] for idx in blocks) == [1, 2, 3, 4]
         items = x_blocks(p, blocks, 200, self.SEED)
         for stacks, x in zip(items, dense_x_stacks(p, 200, self.SEED), strict=True):
-            for block, dense in zip(stacks, dense_blocks(x, blocks), strict=True):
+            parts = dense_blocks(x, blocks)
+            for block, dense in zip(stacks, parts, strict=True):
                 assert np.array_equal(block, dense)
-            rowmax = np.sqrt(np.max(np.sum(x * x, axis=2), axis=1))
-            assert np.array_equal(montecarlo._x_values("rowmax", stacks, blocks, p.d), rowmax)
+            rowmax = montecarlo.blockwise_max(montecarlo._BLOCK_VALUES["rowmax"], stacks)
+            assert np.array_equal(rowmax, _block_rowmax(parts))
+            np.testing.assert_allclose(rowmax, np.sqrt(np.max(np.sum(x * x, axis=2), axis=1)),
+                                       rtol=1e-14)
 
     @pytest.mark.parametrize("spec, dense", [("wigner:d=16", True), ("diagonal_decay:d=16", False),
                                              ("block_diagonal", False)])
